@@ -124,6 +124,12 @@ fn main() {
             MarginSvmStrategy::new(SvmTrainer::default())
         );
         run!(
+            "Linear-QBC(10)",
+            QbcStrategy::builder(SvmTrainer::default())
+                .committee_size(10)
+                .build()
+        );
+        run!(
             "Linear-Margin(Ensemble)",
             EnsembleSvmStrategy::new(SvmTrainer::default(), 0.85)
         );

@@ -5,7 +5,8 @@
 //! the same pipeline drives every classifier family; here the equivalent is
 //! a small trait implemented by thin wrappers around the `mlcore` training
 //! configs. Learner-agnostic QBC (§4.1) retrains a committee of models from
-//! bootstrap resamples, which is exactly "call [`Trainer::train`] B times".
+//! bootstrap resamples, which is [`Trainer::train_bootstraps`]: by
+//! default "call [`Trainer::train`] B times".
 
 use mlcore::data::TrainSet;
 use mlcore::forest::{ForestConfig, RandomForest};
@@ -29,6 +30,28 @@ pub trait Trainer: Sync {
     /// the RNG state.
     fn train(&self, xs: &[Vec<f64>], ys: &[bool], rng: &mut StdRng) -> Self::Model;
 
+    /// Train one model per bootstrap over one shared table of labeled
+    /// rows: member `(boot, rng)` gets the model [`Trainer::train`] makes
+    /// from rows `rows[boot[j]]`, labels `ys[boot[j]]` and its `rng`.
+    /// The default copies each member's rows and calls `train`;
+    /// [`SvmTrainer`] trains the members in lockstep without copying.
+    fn train_bootstraps(
+        &self,
+        rows: &[&[f64]],
+        ys: &[bool],
+        members: Vec<(Vec<usize>, StdRng)>,
+    ) -> Vec<Self::Model> {
+        members
+            .into_iter()
+            .map(|(boot, mut rng)| {
+                // alem-lint: allow(flat-feature-store) -- O(labeled) bootstrap sample per committee member, not the pool matrix
+                let xs: Vec<Vec<f64>> = boot.iter().map(|&j| rows[j].to_vec()).collect();
+                let ys: Vec<bool> = boot.iter().map(|&j| ys[j]).collect();
+                self.train(&xs, &ys, &mut rng)
+            })
+            .collect()
+    }
+
     /// Human-readable name used in reports (e.g. `"Linear"`).
     fn name(&self) -> &'static str;
 }
@@ -42,6 +65,15 @@ impl Trainer for SvmTrainer {
 
     fn train(&self, xs: &[Vec<f64>], ys: &[bool], rng: &mut StdRng) -> LinearSvm {
         self.0.train(&TrainSet::new(xs, ys), rng)
+    }
+
+    fn train_bootstraps(
+        &self,
+        rows: &[&[f64]],
+        ys: &[bool],
+        members: Vec<(Vec<usize>, StdRng)>,
+    ) -> Vec<LinearSvm> {
+        self.0.train_bootstraps(rows, ys, members)
     }
 
     fn name(&self) -> &'static str {

@@ -5,10 +5,11 @@
 //! the neural net — and picks the examples closest to it. Learner-aware:
 //! there is no committee to build, so the whole latency is scoring time.
 
-use super::{score_pool_with, scored_pool, top_k_desc, Selection};
+use super::{score_pool_chunks, score_pool_with, scored_pool, top_k_desc, Selection};
 use crate::corpus::Corpus;
 use alem_obs::Registry;
 use alem_par::Parallelism;
+use mlcore::svm::LinearSvm;
 use rand::rngs::StdRng;
 use std::time::Duration;
 
@@ -27,6 +28,25 @@ where
     score_pool_with(par, unlabeled, |i| -margin_of(corpus.x(i)))
 }
 
+/// [`score_pool`] for a linear SVM, with `|w·x + b|` evaluated a block of
+/// rows at a time by linalg's panel kernel (one model): the same scores,
+/// bit for bit.
+pub(crate) fn score_pool_linear(
+    svm: &LinearSvm,
+    corpus: &Corpus,
+    unlabeled: &[usize],
+    par: &Parallelism,
+) -> Vec<f64> {
+    let panel = LinearSvm::panel(std::slice::from_ref(svm));
+    score_pool_chunks(par, unlabeled, |chunk| {
+        let mut scores = Vec::with_capacity(chunk.len());
+        panel.eval(chunk.iter().map(|&i| corpus.x(i)), |v| {
+            scores.push(-v[0].abs())
+        });
+        scores
+    })
+}
+
 /// One margin-selection round. `margin_of` must return the *absolute*
 /// distance from the decision boundary for a corpus example index.
 pub fn select<F>(
@@ -41,8 +61,37 @@ pub fn select<F>(
 where
     F: Fn(&[f64]) -> f64 + Sync,
 {
+    pick(unlabeled, batch, rng, obs, || {
+        score_pool(margin_of, corpus, unlabeled, par)
+    })
+}
+
+/// [`select`] for a linear SVM, scoring with [`score_pool_linear`].
+pub(crate) fn select_linear(
+    svm: &LinearSvm,
+    corpus: &Corpus,
+    unlabeled: &[usize],
+    batch: usize,
+    rng: &mut StdRng,
+    obs: &Registry,
+    par: &Parallelism,
+) -> Selection {
+    pick(unlabeled, batch, rng, obs, || {
+        score_pool_linear(svm, corpus, unlabeled, par)
+    })
+}
+
+/// Score the pool under the `select.score` span and take the `batch`
+/// highest scores.
+fn pick(
+    unlabeled: &[usize],
+    batch: usize,
+    rng: &mut StdRng,
+    obs: &Registry,
+    score: impl FnOnce() -> Vec<f64>,
+) -> Selection {
     let score_span = obs.span("select.score");
-    let scores = score_pool(margin_of, corpus, unlabeled, par);
+    let scores = score();
     obs.counter_add("select.pairs_scored", scores.len() as u64);
     let chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
     Selection {
@@ -55,7 +104,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlcore::svm::LinearSvm;
     use rand::SeedableRng;
 
     fn corpus() -> Corpus {
@@ -104,6 +152,28 @@ mod tests {
         );
         assert_eq!(sel.chosen.len(), 7);
         assert!(sel.chosen.iter().all(|&i| i < 50));
+    }
+
+    #[test]
+    fn linear_scores_have_the_per_row_bits_at_any_thread_count() {
+        let feats: Vec<Vec<f64>> = (0..37)
+            .map(|i| vec![i as f64 / 37.0, ((i * 7) % 11) as f64 / 11.0, 0.0])
+            .collect();
+        let truth: Vec<bool> = (0..37).map(|i| i >= 20).collect();
+        let c = Corpus::from_features(feats, truth);
+        let svm = LinearSvm::from_parts(vec![2.0, -1.5, -0.25], -0.5);
+        let unlabeled: Vec<usize> = (0..37).rev().collect();
+        let bits = |s: Vec<f64>| s.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let want = bits(score_pool(
+            |x| svm.margin(x),
+            &c,
+            &unlabeled,
+            &Parallelism::sequential(),
+        ));
+        for t in [1, 2, 3, 8] {
+            let got = score_pool_linear(&svm, &c, &unlabeled, &Parallelism::fixed(t));
+            assert_eq!(bits(got), want, "threads={t}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! The latency is reported split into committee-creation and
 //! example-scoring time, the decomposition plotted in Fig. 10.
 
-use super::{score_pool_with, scored_pool, top_k_desc, Selection};
+use super::{score_pool_chunks, scored_pool, top_k_desc, Selection};
 use crate::corpus::Corpus;
 use crate::learner::Trainer;
 use alem_obs::Registry;
@@ -23,7 +23,9 @@ use rand::{Rng, SeedableRng};
 /// Every member gets its own `StdRng` seeded from a u64 pre-drawn on the
 /// caller's thread, so member `i`'s bootstrap sample and training run are
 /// independent of scheduling: the committee is byte-identical for any
-/// thread count.
+/// thread count. Members index one shared table of the labeled rows
+/// (borrowed from the corpus) through [`Trainer::train_bootstraps`], once
+/// per chunk.
 ///
 /// Returns an empty committee when `use_bool_features` is requested on a
 /// corpus without Boolean predicates — [`crate::strategy::Strategy::fit`]
@@ -45,32 +47,46 @@ pub fn train_committee<T: Trainer>(
     } else {
         None
     };
-    let rows = |i: usize| -> Vec<f64> {
+    let x = |i: usize| -> &[f64] {
         match bools {
-            Some(b) => b[i].clone(),
-            None => corpus.x(i).to_vec(),
+            Some(b) => &b[i],
+            None => corpus.x(i),
         }
     };
+    let table: Vec<&[f64]> = labeled.iter().map(|&(i, _)| x(i)).collect();
+    let ys: Vec<bool> = labeled.iter().map(|&(_, y)| y).collect();
     let seeds: Vec<u64> = (0..size).map(|_| rng.gen()).collect();
-    par.map(&seeds, |&seed| {
-        let mut mrng = StdRng::seed_from_u64(seed);
-        let idx = bootstrap_indices(labeled.len(), &mut mrng);
-        // alem-lint: allow(flat-feature-store) -- O(labeled) bootstrap sample per committee member, not the pool matrix
-        let xs: Vec<Vec<f64>> = idx.iter().map(|&j| rows(labeled[j].0)).collect();
-        let ys: Vec<bool> = idx.iter().map(|&j| labeled[j].1).collect();
-        trainer.train(&xs, &ys, &mut mrng)
+    par.map_chunks(&seeds, |chunk| {
+        let members = chunk
+            .iter()
+            .map(|&seed| {
+                let mut mrng = StdRng::seed_from_u64(seed);
+                let boot = bootstrap_indices(labeled.len(), &mut mrng);
+                (boot, mrng)
+            })
+            .collect();
+        trainer.train_bootstraps(&table, &ys, members)
     })
+}
+
+/// Vote variance `p (1 − p)` of `votes` match votes out of `members`.
+fn vote_variance(votes: usize, members: usize) -> f64 {
+    let p = votes as f64 / members as f64;
+    p * (1.0 - p)
 }
 
 /// Vote variance of a committee on one example.
 pub fn committee_variance<M: Classifier>(committee: &[M], x: &[f64]) -> f64 {
-    let c = committee.len() as f64;
-    let p = committee.iter().filter(|m| m.predict(x)).count() as f64 / c;
-    p * (1.0 - p)
+    vote_variance(
+        committee.iter().filter(|m| m.predict(x)).count(),
+        committee.len(),
+    )
 }
 
 /// Vote-variance scores for the pool, aligned with `unlabeled`; higher =
-/// more committee disagreement. Thread-count invariant.
+/// more committee disagreement. Each chunk of the pool is voted on in one
+/// [`Classifier::committee_votes`] call, so a linear committee is
+/// evaluated with linalg's blocked kernel. Thread-count invariant.
 pub fn score_pool<M: Classifier + Sync>(
     committee: &[M],
     corpus: &Corpus,
@@ -83,12 +99,17 @@ pub fn score_pool<M: Classifier + Sync>(
     } else {
         None
     };
-    score_pool_with(par, unlabeled, |i| {
-        let x: &[f64] = match bools {
+    let x = |i: usize| -> &[f64] {
+        match bools {
             Some(b) => &b[i],
             None => corpus.x(i),
-        };
-        committee_variance(committee, x)
+        }
+    };
+    score_pool_chunks(par, unlabeled, |chunk| {
+        M::committee_votes(committee, chunk.iter().map(|&i| x(i)))
+            .into_iter()
+            .map(|votes| vote_variance(votes, committee.len()))
+            .collect()
     })
 }
 
@@ -144,7 +165,62 @@ pub fn select<T: Trainer>(
 mod tests {
     use super::*;
     use crate::learner::SvmTrainer;
+    use mlcore::data::TrainSet;
+    use mlcore::svm::{LinearSvm, SvmConfig};
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// The lockstep committee, members indexing one shared table,
+        /// equals one `SvmConfig::train` per member on a copy of its
+        /// bootstrap rows, bit for bit, at every thread count.
+        #[test]
+        fn lockstep_committee_matches_per_member_training(
+            size in 1usize..=11,
+            dim in 1usize..=12,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let feats: Vec<Vec<f64>> = (0..600)
+                .map(|_| (0..dim).map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.gen() }).collect())
+                .collect();
+            let truth: Vec<bool> = feats.iter().map(|x| x[0] + rng.gen::<f64>() * 0.3 > 0.7).collect();
+            let c = Corpus::from_features(feats, truth);
+            for n in [0, 1, 2, 600] {
+                let labeled: Vec<(usize, bool)> = (0..n).map(|i| (i, c.truth(i))).collect();
+                let mut seeds = StdRng::seed_from_u64(seed ^ 0x5eed);
+                let want: Vec<LinearSvm> = (0..size)
+                    .map(|_| {
+                        let mut mrng = StdRng::seed_from_u64(seeds.gen());
+                        let boot = bootstrap_indices(n, &mut mrng);
+                        let xs: Vec<Vec<f64>> = boot.iter().map(|&j| c.x(j).to_vec()).collect();
+                        let ys: Vec<bool> = boot.iter().map(|&j| labeled[j].1).collect();
+                        SvmConfig::default().train(&TrainSet::new(&xs, &ys), &mut mrng)
+                    })
+                    .collect();
+                for threads in [1, 2, 3, 8] {
+                    let got = train_committee(
+                        &SvmTrainer::default(),
+                        &c,
+                        &labeled,
+                        size,
+                        &mut StdRng::seed_from_u64(seed ^ 0x5eed),
+                        false,
+                        &Parallelism::fixed(threads),
+                    );
+                    prop_assert_eq!(got.len(), size);
+                    for (g, w) in got.iter().zip(&want) {
+                        let bits = |m: &LinearSvm| -> Vec<u64> {
+                            m.weights().iter().chain([m.bias()].iter()).map(|v| v.to_bits()).collect()
+                        };
+                        prop_assert_eq!(bits(g), bits(w), "n={} threads={}", n, threads);
+                    }
+                }
+            }
+        }
+    }
 
     fn corpus() -> Corpus {
         let feats: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 100.0]).collect();

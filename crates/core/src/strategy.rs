@@ -959,15 +959,9 @@ impl Strategy for MarginSvmStrategy {
                 );
                 out.selection
             }
-            (None, _) => selector::margin::select(
-                |x| svm.margin(x),
-                corpus,
-                unlabeled,
-                batch,
-                rng,
-                obs,
-                &self.par,
-            ),
+            (None, _) => {
+                selector::margin::select_linear(svm, corpus, unlabeled, batch, rng, obs, &self.par)
+            }
         }
     }
 
@@ -977,7 +971,7 @@ impl Strategy for MarginSvmStrategy {
         })?;
         Ok(match self.blocking_k {
             Some(k) => selector::blocking_dim::score_pool(svm, k, corpus, unlabeled, &self.par),
-            None => selector::margin::score_pool(|x| svm.margin(x), corpus, unlabeled, &self.par),
+            None => selector::margin::score_pool_linear(svm, corpus, unlabeled, &self.par),
         })
     }
 

@@ -1,13 +1,16 @@
 //! Slice-based vector helpers.
 
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices: one chain that starts at
+/// `-0.0` and adds `a[i] * b[i]` for ascending `i`. The kernels in
+/// [`crate::panel`] keep exactly this chain, so their values match it bit
+/// for bit.
 ///
 /// # Panics
 /// Panics in debug builds if lengths differ.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    a.iter().zip(b).fold(-0.0, |acc, (x, y)| acc + x * y)
 }
 
 /// `y += alpha * x`, element-wise.

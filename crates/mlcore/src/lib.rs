@@ -51,6 +51,23 @@ pub trait Classifier {
     fn positive_probability(&self, x: &[f64]) -> f64 {
         1.0 / (1.0 + (-self.decision_value(x)).exp())
     }
+
+    /// Votes of a committee on each of `rows`: how many members
+    /// [`Classifier::predict`] a match. The default asks every member
+    /// about every row; [`svm::LinearSvm`] overrides it with the blocked
+    /// kernel of [`linalg::panel`], which gives the same votes because its
+    /// decision values have the same bits.
+    fn committee_votes<'a>(
+        committee: &[Self],
+        rows: impl IntoIterator<Item = &'a [f64]>,
+    ) -> Vec<usize>
+    where
+        Self: Sized,
+    {
+        rows.into_iter()
+            .map(|x| committee.iter().filter(|m| m.predict(x)).count())
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -69,6 +86,15 @@ mod tests {
         assert!(Stub(0.1).predict(&[]));
         assert!(!Stub(-0.1).predict(&[]));
         assert!(!Stub(0.0).predict(&[]));
+    }
+
+    #[test]
+    fn default_committee_votes_count_predictions() {
+        let committee = [Stub(1.0), Stub(-1.0), Stub(2.0)];
+        let rows = [[0.0], [1.0]];
+        let votes = Stub::committee_votes(&committee, rows.iter().map(|r| &r[..]));
+        assert_eq!(votes, vec![2, 2]);
+        assert!(Stub::committee_votes(&committee, []).is_empty());
     }
 
     #[test]

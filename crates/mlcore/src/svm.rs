@@ -7,6 +7,7 @@
 
 use crate::data::TrainSet;
 use crate::Classifier;
+use linalg::panel::{self, Panel};
 use linalg::vector::{dot, scale};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -60,7 +61,7 @@ impl SvmConfig {
                 bias: state.bias,
             };
         }
-        let out = self.run_epochs(set, weights, state, self.epochs, rng);
+        let out = self.run_one(set, weights, state, self.epochs, rng);
         LinearSvm {
             weights: out.weights,
             bias: out.bias,
@@ -90,7 +91,7 @@ impl SvmConfig {
             return (model, state);
         }
         assert_eq!(state.weights.len(), set.dim(), "warm state/dim mismatch");
-        let out = self.run_epochs(set, None, state, epochs, rng);
+        let out = self.run_one(set, None, state, epochs, rng);
         let model = LinearSvm {
             weights: out.weights.clone(),
             bias: out.bias,
@@ -98,9 +99,60 @@ impl SvmConfig {
         (model, out)
     }
 
-    /// The Pegasos inner loop, shared by cold and warm training: `epochs`
-    /// shuffled passes over `set` continuing from `state`.
-    fn run_epochs<R: Rng>(
+    /// Train one model per bootstrap, in lockstep, over one shared table
+    /// of labeled rows that every member indexes instead of copying.
+    /// Member `(boot, rng)` trains on `rows[boot[0]], rows[boot[1]], …`
+    /// with its own `rng`, and its model equals [`SvmConfig::train`] on a
+    /// copy of those rows and labels with that `rng`, bit for bit.
+    ///
+    /// # Panics
+    /// Panics when `rows` and `labels` differ in length, rows are ragged,
+    /// bootstraps differ in length, or an index is out of range.
+    pub fn train_bootstraps<R: Rng>(
+        &self,
+        rows: &[&[f64]],
+        labels: &[bool],
+        members: Vec<(Vec<usize>, R)>,
+    ) -> Vec<LinearSvm> {
+        assert_eq!(rows.len(), labels.len(), "features/labels length mismatch");
+        let dim = rows.first().map_or(0, |r| r.len());
+        assert!(rows.iter().all(|r| r.len() == dim), "ragged feature matrix");
+        let n = members.first().map_or(0, |(boot, _)| boot.len());
+        assert!(
+            members.iter().all(|(boot, _)| boot.len() == n),
+            "bootstraps differ in length"
+        );
+        if n == 0 || dim == 0 {
+            // What `train` returns for each member's (empty or 0-dim) copy.
+            let zero = LinearSvm {
+                weights: Vec::new(),
+                bias: 0.0,
+            };
+            return vec![zero; members.len()];
+        }
+        let mut w = vec![0.0; members.len() * dim];
+        let mut members: Vec<Member<R>> = members
+            .into_iter()
+            .map(|(order, rng)| Member {
+                order,
+                rng,
+                bias: 0.0,
+                t: 0,
+            })
+            .collect();
+        self.lockstep(rows, labels, None, &mut w, &mut members, self.epochs);
+        w.chunks_exact(dim)
+            .zip(&members)
+            .map(|(wm, m)| LinearSvm {
+                weights: wm.to_vec(),
+                bias: m.bias,
+            })
+            .collect()
+    }
+
+    /// [`SvmConfig::lockstep`] with one member: `epochs` shuffled passes
+    /// over all of `set`, continuing from `state`.
+    fn run_one<R: Rng>(
         &self,
         set: &TrainSet<'_>,
         weights: Option<&[f64]>,
@@ -113,38 +165,101 @@ impl SvmConfig {
         }
         let SvmWarmState {
             weights: mut w,
-            bias: mut b,
-            mut t,
+            bias,
+            t,
         } = state;
-        let n = set.len();
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut members = [Member {
+            order: (0..set.len()).collect(),
+            rng,
+            bias,
+            t,
+        }];
+        self.lockstep(
+            set.features(),
+            set.labels(),
+            weights,
+            &mut w,
+            &mut members,
+            epochs,
+        );
+        let [m] = members;
+        SvmWarmState {
+            weights: w,
+            bias: m.bias,
+            t: m.t,
+        }
+    }
+
+    /// The Pegasos loop, shared by every way of training: `epochs`
+    /// passes in which each member first reshuffles its `order` with its
+    /// own RNG, then every member takes step `s` before any takes step
+    /// `s + 1`. The members' margins at a step are independent dot
+    /// products, computed interleaved by [`panel::dots`] with the bits of
+    /// one [`linalg::dot`] each; every other operation is the same per
+    /// member as when it trains alone. `w` holds the members' weight
+    /// vectors back to back, each as long as a row; `weights` are per
+    /// table row.
+    fn lockstep<X: AsRef<[f64]>, G: Rng>(
+        &self,
+        rows: &[X],
+        labels: &[bool],
+        weights: Option<&[f64]>,
+        w: &mut [f64],
+        members: &mut [Member<G>],
+        epochs: usize,
+    ) {
+        let Some(n) = members.first().map(|m| m.order.len()) else {
+            return;
+        };
+        let dim = w.len() / members.len();
+        let mut xs: Vec<&[f64]> = vec![&[]; members.len()];
+        let mut margins = vec![0.0; members.len()];
         for _ in 0..epochs {
-            order.shuffle(rng);
-            for &i in &order {
-                t += 1;
-                let eta = 1.0 / (self.lambda * t as f64);
-                let x = set.x(i);
-                let y = set.y_signed(i);
-                let margin = y * (dot(&w, x) + b);
-                // Regularization shrink (bias is conventionally unshrunk).
-                scale(1.0 - eta * self.lambda, &mut w);
-                if margin < 1.0 {
-                    let cw = if set.y(i) { self.positive_weight } else { 1.0 };
-                    let iw = weights.map_or(1.0, |ws| ws[i]);
-                    let step = eta * cw * iw * y;
-                    for (wj, xj) in w.iter_mut().zip(x) {
-                        *wj += step * xj;
+            for m in members.iter_mut() {
+                m.order.shuffle(&mut m.rng);
+            }
+            for s in 0..n {
+                for (x, m) in xs.iter_mut().zip(members.iter()) {
+                    *x = rows[m.order[s]].as_ref();
+                }
+                panel::dots(dim, w, &xs, &mut margins);
+                for (q, m) in members.iter_mut().enumerate() {
+                    let (wm, x, wx) = (&mut w[q * dim..][..dim], xs[q], margins[q]);
+                    let i = m.order[s];
+                    m.t += 1;
+                    let eta = 1.0 / (self.lambda * m.t as f64);
+                    let y = if labels[i] { 1.0 } else { -1.0 };
+                    let margin = y * (wx + m.bias);
+                    // Regularization shrink (bias is conventionally
+                    // unshrunk), then the hinge step, in one pass: each
+                    // weight is rounded after `* shrink` and again after
+                    // `+ step * x`, as in two passes.
+                    let shrink = 1.0 - eta * self.lambda;
+                    if margin < 1.0 {
+                        let cw = if labels[i] { self.positive_weight } else { 1.0 };
+                        let iw = weights.map_or(1.0, |ws| ws[i]);
+                        let step = eta * cw * iw * y;
+                        for (wj, xj) in wm.iter_mut().zip(x) {
+                            *wj = *wj * shrink + step * xj;
+                        }
+                        m.bias += step;
+                    } else {
+                        scale(shrink, wm);
                     }
-                    b += step;
                 }
             }
         }
-        SvmWarmState {
-            weights: w,
-            bias: b,
-            t,
-        }
     }
+}
+
+/// One model in [`SvmConfig::lockstep`]: the table rows it trains on
+/// (its bootstrap, or every row), reshuffled in place each epoch, its RNG
+/// and the scalar part of its optimizer state.
+struct Member<G> {
+    order: Vec<usize>,
+    rng: G,
+    bias: f64,
+    t: u64,
 }
 
 /// Resumable Pegasos optimizer state: the weight vector, bias, and the
@@ -213,6 +328,16 @@ impl LinearSvm {
         self.decision_value(x).abs()
     }
 
+    /// Pack `models` for [`Panel::eval`], which then gives each model's
+    /// [`Classifier::decision_value`] on every row, bit for bit.
+    ///
+    /// # Panics
+    /// Panics when the models differ in dimensionality.
+    pub fn panel(models: &[LinearSvm]) -> Panel {
+        let dim = models.first().map_or(0, |m| m.weights.len());
+        Panel::pack(dim, models.iter().map(|m| (m.weights.as_slice(), m.bias)))
+    }
+
     /// Indices of the `k` dimensions with the largest `|w|`, descending —
     /// the blocking dimensions of §5.1.
     pub fn top_weight_dims(&self, k: usize) -> Vec<usize> {
@@ -232,13 +357,110 @@ impl Classifier for LinearSvm {
     fn decision_value(&self, x: &[f64]) -> f64 {
         dot(&self.weights, x) + self.bias
     }
+
+    fn committee_votes<'a>(
+        committee: &[Self],
+        rows: impl IntoIterator<Item = &'a [f64]>,
+    ) -> Vec<usize> {
+        let mut votes = Vec::new();
+        LinearSvm::panel(committee).eval(rows, |values| {
+            votes.push(values.iter().filter(|&&v| v > 0.0).count());
+        });
+        votes
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A feature or weight for the kernel checks: often a signed zero,
+    /// else mixed signs across several magnitudes.
+    fn cell(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..8u32) {
+            0 => 0.0,
+            1 => -0.0,
+            k => (rng.gen::<f64>() - 0.5) * 10f64.powi(k as i32 - 4),
+        }
+    }
+
+    /// `k` models on `n` rows of `dim` features through the panel kernel
+    /// and through `committee_votes`: every value has the bits of
+    /// `decision_value`, every vote count matches `predict`. Every third
+    /// model has only negative weights and a `-0.0` bias, and every third
+    /// row only signed zeros, so a chain that started at `+0.0` would
+    /// show.
+    fn check_panel(dim: usize, k: usize, n: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let committee: Vec<LinearSvm> = (0..k)
+            .map(|m| {
+                if m % 3 == 0 {
+                    let w = (0..dim).map(|_| -cell(&mut rng).abs()).collect();
+                    LinearSvm::from_parts(w, -0.0)
+                } else {
+                    let w = (0..dim).map(|_| cell(&mut rng)).collect();
+                    LinearSvm::from_parts(w, cell(&mut rng))
+                }
+            })
+            .collect();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|r| {
+                (0..dim)
+                    .map(|_| match r % 3 {
+                        0 if rng.gen::<bool>() => -0.0,
+                        0 => 0.0,
+                        _ => cell(&mut rng),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut j = 0;
+        LinearSvm::panel(&committee).eval(rows.iter().map(Vec::as_slice), |values| {
+            assert_eq!(values.len(), k);
+            for (m, v) in committee.iter().zip(values) {
+                let want = m.decision_value(&rows[j]);
+                assert_eq!(v.to_bits(), want.to_bits(), "dim={dim} k={k} n={n} row={j}");
+            }
+            j += 1;
+        });
+        assert_eq!(j, n);
+        let votes: Vec<usize> = rows
+            .iter()
+            .map(|x| committee.iter().filter(|m| m.predict(x)).count())
+            .collect();
+        assert_eq!(
+            LinearSvm::committee_votes(&committee, rows.iter().map(Vec::as_slice)),
+            votes
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Panel decision values are bit-identical to one
+        /// `decision_value` each, for any model count (lane
+        /// non-multiples included) and pool length (row-block
+        /// non-multiples included).
+        #[test]
+        fn panel_values_have_decision_value_bits(
+            dim in 0usize..=200,
+            k in 1usize..=20,
+            n in 0usize..=9,
+            seed in any::<u64>(),
+        ) {
+            check_panel(dim, k, n, seed);
+        }
+    }
+
+    #[test]
+    fn panel_values_have_decision_value_bits_at_every_dim() {
+        for dim in 0..=200 {
+            check_panel(dim, 1 + dim % 20, dim % 10, dim as u64);
+        }
+    }
 
     fn separable() -> (Vec<Vec<f64>>, Vec<bool>) {
         // Positive iff x0 > 0.5; x1 is noise.

@@ -97,17 +97,37 @@ impl Parallelism {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
+        self.map_chunks(items, |chunk| chunk.iter().map(&f).collect())
+    }
+
+    /// Deterministic parallel map over whole chunks: `f` receives each
+    /// chunk of `items` (boundaries from [`chunks`]`(items.len(),
+    /// self.threads())`) and returns one output per item of it; outputs
+    /// are concatenated in chunk order. This lets `f` set up once per
+    /// chunk and work on several items at a time. The result equals
+    /// `f(items)` for any thread count as long as `f`'s output for an
+    /// item does not depend on which other items share its chunk. With
+    /// one thread (or fewer than two items) no thread is spawned.
+    ///
+    /// A panic in `f` is propagated to the caller after all workers join.
+    pub fn map_chunks<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(&[T]) -> Vec<U> + Sync,
+    {
         let ranges = chunks(items.len(), self.threads);
         if ranges.len() <= 1 {
-            return items.iter().map(f).collect();
+            return f(items);
         }
         let chunk_results: Vec<Vec<U>> = std::thread::scope(|s| {
             let handles: Vec<_> = ranges
                 .iter()
                 .map(|r| {
                     let f = &f;
-                    let slice = &items[r.start..r.end];
-                    s.spawn(move || slice.iter().map(f).collect::<Vec<U>>())
+                    // The ranges tile `0..items.len()`, so `get` always hits.
+                    let slice = items.get(r.clone()).unwrap_or_default();
+                    s.spawn(move || f(slice))
                 })
                 .collect();
             handles
@@ -241,6 +261,26 @@ mod tests {
         for t in [1, 2, 3, 8, 64] {
             let got = Parallelism::fixed(t).map(&items, |x| x * x + 1);
             assert_eq!(got, expected, "threads={t}");
+        }
+    }
+
+    #[test]
+    fn map_chunks_sees_the_fixed_chunks_and_keeps_order() {
+        let items: Vec<u64> = (0..10).collect();
+        for t in [1, 2, 3, 4, 64] {
+            let sizes = Parallelism::fixed(t).map_chunks(&items, |c| vec![c.len(); c.len()]);
+            let want: Vec<usize> = chunks(10, t)
+                .iter()
+                .flat_map(|r| vec![r.len(); r.len()])
+                .collect();
+            assert_eq!(sizes, want, "threads={t}");
+            let got =
+                Parallelism::fixed(t).map_chunks(&items, |c| c.iter().map(|x| x * 3).collect());
+            assert_eq!(
+                got,
+                items.iter().map(|x| x * 3).collect::<Vec<_>>(),
+                "threads={t}"
+            );
         }
     }
 

@@ -85,9 +85,13 @@ impl Client {
         })
     }
 
-    /// Connect over TCP (`host:port`).
+    /// Connect over TCP (`host:port`). Every request is sent in one
+    /// write with `TCP_NODELAY` set, so a round trip never waits for a
+    /// delayed ACK.
     pub fn connect_tcp(addr: &str) -> Result<Client, AlemError> {
-        Client::from_stream(Stream::Tcp(TcpStream::connect(addr).map_err(io_err)?))
+        let stream = TcpStream::connect(addr).map_err(io_err)?;
+        stream.set_nodelay(true).map_err(io_err)?;
+        Client::from_stream(Stream::Tcp(stream))
     }
 
     /// Connect over a Unix-domain socket.
@@ -136,8 +140,10 @@ impl Client {
     /// Send a pre-encoded (possibly deliberately malformed) frame and
     /// block for the response.
     pub fn send_raw(&mut self, line: &str) -> Result<Response, AlemError> {
-        self.writer.write_all(line.as_bytes()).map_err(io_err)?;
-        self.writer.write_all(b"\n").map_err(io_err)?;
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes()).map_err(io_err)?;
         self.writer.flush().map_err(io_err)?;
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply).map_err(io_err)?;

@@ -56,6 +56,9 @@ impl Conn {
         match self {
             Conn::Tcp(s) => {
                 s.set_nonblocking(false)?;
+                // A reply is one write; sending it at once keeps a round
+                // trip from waiting on the peer's delayed ACK.
+                s.set_nodelay(true)?;
                 s.set_read_timeout(Some(Duration::from_millis(250)))
             }
             #[cfg(unix)]
@@ -275,9 +278,8 @@ fn conn_loop(fleet: &Fleet, conn: Conn) -> Result<(), AlemError> {
                         Response::err(proto::ERR_MALFORMED, detail)
                     }
                 };
-                let encoded = proto::encode(&response);
-                writer.write_all(encoded.as_bytes())?;
-                writer.write_all(b"\n")?;
+                let frame = format!("{}\n", proto::encode(&response));
+                writer.write_all(frame.as_bytes())?;
                 writer.flush()?;
                 span.finish();
             }

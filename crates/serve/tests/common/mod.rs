@@ -24,24 +24,37 @@ impl TestServer {
     /// Spawn a server over a fresh state dir. `tag` must be unique per
     /// test; `reuse_state` restarts over an existing dir (recovery tests).
     pub fn spawn(tag: &str, extra_args: &[&str], reuse_state: Option<PathBuf>) -> TestServer {
+        TestServer::spawn_at(&listen_addr(tag), tag, extra_args, reuse_state)
+    }
+
+    /// Spawn a server on TCP loopback, on a port the OS picks.
+    pub fn spawn_tcp(tag: &str, extra_args: &[&str]) -> TestServer {
+        TestServer::spawn_at("127.0.0.1:0", tag, extra_args, None)
+    }
+
+    fn spawn_at(
+        addr: &str,
+        tag: &str,
+        extra_args: &[&str],
+        reuse_state: Option<PathBuf>,
+    ) -> TestServer {
         let state_dir = reuse_state.unwrap_or_else(|| {
             let dir =
                 std::env::temp_dir().join(format!("alem-serve-it-{}-{tag}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             dir
         });
-        let addr = listen_addr(tag);
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_alem-serve"));
         if addr.contains('/') {
-            cmd.arg("--socket").arg(&addr);
+            cmd.arg("--socket").arg(addr);
         } else {
-            cmd.arg("--tcp").arg(&addr);
+            cmd.arg("--tcp").arg(addr);
         }
         cmd.arg("--state-dir").arg(&state_dir);
         cmd.args(extra_args);
         cmd.stdout(Stdio::piped()).stderr(Stdio::inherit());
         let mut child = cmd.spawn().expect("spawn alem-serve");
-        wait_listening(&mut child);
+        let addr = wait_listening(&mut child);
         TestServer {
             child,
             addr,
@@ -105,19 +118,21 @@ fn wait_exit(child: &mut Child, max: Duration) -> Option<std::process::ExitStatu
     }
 }
 
-fn wait_listening(child: &mut Child) {
+/// Block until the server announces its address; returns that address
+/// (the real port when bound to port 0).
+fn wait_listening(child: &mut Child) -> String {
     use std::io::{BufRead, BufReader, Read};
     let stdout = child.stdout.take().expect("stdout");
     let mut reader = BufReader::new(stdout);
     let mut line = String::new();
-    loop {
+    let addr = loop {
         line.clear();
         let n = reader.read_line(&mut line).expect("read stdout");
         assert!(n > 0, "server exited before listening");
-        if line.contains("listening on") {
-            break;
+        if let Some((_, addr)) = line.split_once("listening on ") {
+            break addr.trim().to_string();
         }
-    }
+    };
     let drainer = alem_par::supervised::spawn("test.stdout", move || {
         let mut sink = String::new();
         let _ = reader.read_to_string(&mut sink);
@@ -125,6 +140,7 @@ fn wait_listening(child: &mut Child) {
     if let Ok(handle) = drainer {
         drop(handle); // detach
     }
+    addr
 }
 
 #[cfg(unix)]

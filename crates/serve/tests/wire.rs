@@ -4,6 +4,7 @@ mod common;
 
 use alem_serve::proto::{self, Request};
 use common::{drive_to_done, reference, TestServer};
+use std::time::{Duration, Instant};
 
 #[test]
 fn session_over_the_wire_matches_in_process_reference() {
@@ -160,5 +161,27 @@ fn healthz_and_trace_ids_over_the_wire() {
     bad.trace_id = Some("bad\u{7f}id".to_string());
     let r = c.send_raw(&proto::encode(&bad)).unwrap();
     assert_eq!(r.error.as_deref(), Some(proto::ERR_INVALID));
+    server.drain();
+}
+
+/// Over TCP a round trip must not wait out a delayed ACK (40 ms or more
+/// on Linux): each side sends a frame in one write on a `TCP_NODELAY`
+/// socket, so 200 sequential requests take milliseconds. A frame written
+/// as body then newline, with Nagle on, stalls every round trip until
+/// the peer's ACK timer fires.
+#[test]
+fn tcp_round_trips_do_not_wait_for_delayed_acks() {
+    let server = TestServer::spawn_tcp("wire-tcp", &[]);
+    let mut c = server.client();
+    let start = Instant::now();
+    for _ in 0..200 {
+        let r = c.call(&Request::new("healthz")).unwrap();
+        assert!(r.ok, "{:?} {:?}", r.error, r.detail);
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(4),
+        "200 TCP round trips took {took:?}"
+    );
     server.drain();
 }
