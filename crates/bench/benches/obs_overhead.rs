@@ -59,14 +59,8 @@ fn main() {
 
     let round = |obs: &Registry| {
         let mut rng = StdRng::seed_from_u64(1);
-        black_box(selector::margin::select(
-            |x| svm.margin(x),
-            corpus,
-            &unlabeled,
-            10,
-            &mut rng,
-            obs,
-            &par,
+        black_box(selector::margin::select_linear(
+            &svm, corpus, &unlabeled, 10, &mut rng, obs, &par,
         ))
     };
 

@@ -64,8 +64,8 @@ fn bench_selection(c: &mut Criterion) {
     group.bench_function("margin_all_dims", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
-            black_box(selector::margin::select(
-                |x| svm.margin(x),
+            black_box(selector::margin::select_linear(
+                &svm,
                 corpus,
                 &unlabeled,
                 10,

@@ -86,26 +86,15 @@ impl Strategy for EnsembleSvmStrategy {
         let Some(svm) = self.candidate.as_ref() else {
             return Selection::default();
         };
-        selector::margin::select(
-            |x| svm.margin(x),
-            corpus,
-            unlabeled,
-            batch,
-            rng,
-            obs,
-            &self.par,
-        )
+        selector::margin::select_linear(svm, corpus, unlabeled, batch, rng, obs, &self.par)
     }
 
     fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
         let svm = self.candidate.as_ref().ok_or_else(|| {
             AlemError::InvalidConfig("ensemble has no candidate yet; call fit first".to_owned())
         })?;
-        Ok(selector::margin::score_pool(
-            |x| svm.margin(x),
-            corpus,
-            unlabeled,
-            &self.par,
+        Ok(selector::margin::score_pool_linear(
+            svm, corpus, unlabeled, &self.par,
         ))
     }
 

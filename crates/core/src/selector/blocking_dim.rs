@@ -83,7 +83,7 @@ pub fn select(
     // Degenerate fallback: if pruning removed everything, fall back to the
     // skipped pool so active learning can still progress.
     if chosen.is_empty() && !unlabeled.is_empty() {
-        let scores = super::margin::score_pool(|x| svm.margin(x), corpus, unlabeled, par);
+        let scores = super::margin::score_pool_linear(svm, corpus, unlabeled, par);
         obs.counter_add("select.pairs_scored", unlabeled.len() as u64);
         chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
     }
@@ -157,8 +157,8 @@ mod tests {
             &Registry::disabled(),
             &Parallelism::sequential(),
         );
-        let vanilla = super::super::margin::select(
-            |x| svm.margin(x),
+        let vanilla = super::super::margin::select_linear(
+            &svm,
             &c,
             &unlabeled,
             5,

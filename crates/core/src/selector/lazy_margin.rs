@@ -63,7 +63,7 @@ pub struct LazySelection {
 }
 
 /// One two-phase margin-selection round, bit-identical in its chosen
-/// batch to [`super::margin::select`] with the same SVM and RNG. Phase 1
+/// batch to [`super::margin::select_linear`] with the same SVM and RNG. Phase 1
 /// reads the current model's `topk` highest-`|weight|` dims.
 ///
 /// Soundness requires [`Corpus::features_bounded_01`]; callers gate on it
@@ -322,8 +322,8 @@ mod tests {
                 &Registry::disabled(),
                 &Parallelism::sequential(),
             );
-            let eager = super::super::margin::select(
-                |x| m.margin(x),
+            let eager = super::super::margin::select_linear(
+                &m,
                 &c,
                 &unlabeled,
                 10,
@@ -343,8 +343,8 @@ mod tests {
             let c = corpus(200, 10, seed);
             let m = svm(10, seed + 50);
             let unlabeled: Vec<usize> = (0..200).collect();
-            let eager = super::super::margin::select(
-                |x| m.margin(x),
+            let eager = super::super::margin::select_linear(
+                &m,
                 &c,
                 &unlabeled,
                 8,

@@ -4,8 +4,12 @@
 //! decision boundary — `|w·x + b|` for a linear SVM, `|affine output|` for
 //! the neural net — and picks the examples closest to it. Learner-aware:
 //! there is no committee to build, so the whole latency is scoring time.
+//!
+//! Every linear SVM is scored by [`score_pool_linear`] and
+//! [`select_linear`], on linalg's blocked kernel. The crate's `score_pool`
+//! and `select` take the margin as a closure, for the neural net.
 
-use super::{score_pool_chunks, score_pool_with, scored_pool, top_k_desc, Selection};
+use super::{score_pool_with, scored_pool, top_k_desc, Selection};
 use crate::corpus::Corpus;
 use alem_obs::Registry;
 use alem_par::Parallelism;
@@ -16,7 +20,7 @@ use std::time::Duration;
 /// Ambiguity scores for the pool: the negated absolute margin, so the
 /// examples closest to the decision boundary score highest. Aligned with
 /// `unlabeled`; thread-count invariant.
-pub fn score_pool<F>(
+pub(crate) fn score_pool<F>(
     margin_of: F,
     corpus: &Corpus,
     unlabeled: &[usize],
@@ -28,20 +32,20 @@ where
     score_pool_with(par, unlabeled, |i| -margin_of(corpus.x(i)))
 }
 
-/// [`score_pool`] for a linear SVM, with `|w·x + b|` evaluated a block of
+/// `score_pool` for a linear SVM, with `|w·x + b|` evaluated a block of
 /// rows at a time by linalg's panel kernel (one model): the same scores,
 /// bit for bit.
-pub(crate) fn score_pool_linear(
+pub fn score_pool_linear(
     svm: &LinearSvm,
     corpus: &Corpus,
     unlabeled: &[usize],
     par: &Parallelism,
 ) -> Vec<f64> {
     let panel = LinearSvm::panel(std::slice::from_ref(svm));
-    score_pool_chunks(par, unlabeled, |chunk| {
+    par.map_chunks(unlabeled, |chunk| {
         let mut scores = Vec::with_capacity(chunk.len());
         panel.eval(chunk.iter().map(|&i| corpus.x(i)), |v| {
-            scores.push(-v[0].abs())
+            scores.extend(v.iter().map(|d| -d.abs()))
         });
         scores
     })
@@ -49,7 +53,7 @@ pub(crate) fn score_pool_linear(
 
 /// One margin-selection round. `margin_of` must return the *absolute*
 /// distance from the decision boundary for a corpus example index.
-pub fn select<F>(
+pub(crate) fn select<F>(
     margin_of: F,
     corpus: &Corpus,
     unlabeled: &[usize],
@@ -66,8 +70,9 @@ where
     })
 }
 
-/// [`select`] for a linear SVM, scoring with [`score_pool_linear`].
-pub(crate) fn select_linear(
+/// One margin-selection round for a linear SVM, scoring with
+/// [`score_pool_linear`].
+pub fn select_linear(
     svm: &LinearSvm,
     corpus: &Corpus,
     unlabeled: &[usize],
@@ -119,8 +124,8 @@ mod tests {
         let svm = LinearSvm::from_parts(vec![2.0], -1.0);
         let unlabeled: Vec<usize> = (0..100).collect();
         let mut rng = StdRng::seed_from_u64(4);
-        let sel = select(
-            |x| svm.margin(x),
+        let sel = select_linear(
+            &svm,
             &c,
             &unlabeled,
             10,
@@ -141,8 +146,8 @@ mod tests {
         let svm = LinearSvm::from_parts(vec![2.0], -1.0);
         let unlabeled: Vec<usize> = (0..50).collect();
         let mut rng = StdRng::seed_from_u64(4);
-        let sel = select(
-            |x| svm.margin(x),
+        let sel = select_linear(
+            &svm,
             &c,
             &unlabeled,
             7,
@@ -183,8 +188,8 @@ mod tests {
         let unlabeled: Vec<usize> = (0..100).collect();
         let pick = |par: Parallelism| {
             let mut rng = StdRng::seed_from_u64(9);
-            select(
-                |x| svm.margin(x),
+            select_linear(
+                &svm,
                 &c,
                 &unlabeled,
                 10,

@@ -28,27 +28,16 @@ use std::time::Duration;
 /// chosen even when the pool is smaller than the batch.
 pub const EXCLUDED: f64 = f64::NEG_INFINITY;
 
-/// The workspace's single pool-scoring fan-out: `score` gets each chunk
-/// of `unlabeled` and returns one score per entry, in parallel per `par`;
-/// the result is aligned with `unlabeled`. Chunk boundaries depend only on
-/// `(len, threads)` and results merge in chunk order, so the output is
-/// byte-identical for any thread count as long as a row's score does not
-/// depend on the chunk it falls in (see `alem_par::Parallelism::map_chunks`).
-pub fn score_pool_chunks<F>(par: &Parallelism, unlabeled: &[usize], score: F) -> Vec<f64>
-where
-    F: Fn(&[usize]) -> Vec<f64> + Sync,
-{
-    par.map_chunks(unlabeled, score)
-}
-
-/// [`score_pool_chunks`] with a scorer of one pool index at a time.
+/// Pool-scoring fan-out for a scorer of one pool index at a time: score
+/// `unlabeled[j]` with `score`, in parallel per `par`, returning a score
+/// vector aligned with `unlabeled`. Chunk boundaries depend only on `(len, threads)` and
+/// results merge in chunk order, so the output is byte-identical for any
+/// thread count (see `alem_par::chunks`).
 pub fn score_pool_with<F>(par: &Parallelism, unlabeled: &[usize], score: F) -> Vec<f64>
 where
     F: Fn(usize) -> f64 + Sync,
 {
-    score_pool_chunks(par, unlabeled, |chunk| {
-        chunk.iter().map(|&i| score(i)).collect()
-    })
+    par.map(unlabeled, |&i| score(i))
 }
 
 /// Pair pool indices with their scores, dropping [`EXCLUDED`] entries.

@@ -7,7 +7,7 @@
 //! The latency is reported split into committee-creation and
 //! example-scoring time, the decomposition plotted in Fig. 10.
 
-use super::{score_pool_chunks, scored_pool, top_k_desc, Selection};
+use super::{scored_pool, top_k_desc, Selection};
 use crate::corpus::Corpus;
 use crate::learner::Trainer;
 use alem_obs::Registry;
@@ -69,20 +69,6 @@ pub fn train_committee<T: Trainer>(
     })
 }
 
-/// Vote variance `p (1 − p)` of `votes` match votes out of `members`.
-fn vote_variance(votes: usize, members: usize) -> f64 {
-    let p = votes as f64 / members as f64;
-    p * (1.0 - p)
-}
-
-/// Vote variance of a committee on one example.
-pub fn committee_variance<M: Classifier>(committee: &[M], x: &[f64]) -> f64 {
-    vote_variance(
-        committee.iter().filter(|m| m.predict(x)).count(),
-        committee.len(),
-    )
-}
-
 /// Vote-variance scores for the pool, aligned with `unlabeled`; higher =
 /// more committee disagreement. Each chunk of the pool is voted on in one
 /// [`Classifier::committee_votes`] call, so a linear committee is
@@ -105,10 +91,13 @@ pub fn score_pool<M: Classifier + Sync>(
             None => corpus.x(i),
         }
     };
-    score_pool_chunks(par, unlabeled, |chunk| {
+    par.map_chunks(unlabeled, |chunk| {
         M::committee_votes(committee, chunk.iter().map(|&i| x(i)))
             .into_iter()
-            .map(|votes| vote_variance(votes, committee.len()))
+            .map(|votes| {
+                let p = votes as f64 / committee.len() as f64;
+                p * (1.0 - p)
+            })
             .collect()
     })
 }
@@ -359,8 +348,10 @@ mod tests {
             false,
             &Parallelism::sequential(),
         );
-        for i in 0..c.len() {
-            let v = committee_variance(&committee, c.x(i));
+        let all: Vec<usize> = (0..c.len()).collect();
+        let scores = score_pool(&committee, &c, &all, false, &Parallelism::sequential());
+        assert_eq!(scores.len(), c.len());
+        for v in scores {
             assert!((0.0..=0.25 + 1e-12).contains(&v));
         }
     }

@@ -1104,11 +1104,8 @@ impl Strategy for LshMarginStrategy {
         let svm = self.model.as_ref().ok_or_else(|| {
             AlemError::InvalidConfig("LSH margin has no model yet; call fit first".to_owned())
         })?;
-        Ok(selector::margin::score_pool(
-            |x| svm.margin(x),
-            corpus,
-            unlabeled,
-            &self.par,
+        Ok(selector::margin::score_pool_linear(
+            svm, corpus, unlabeled, &self.par,
         ))
     }
 

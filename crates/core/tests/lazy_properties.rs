@@ -47,8 +47,8 @@ proptest! {
         let unlabeled: Vec<usize> = (0..n).collect();
         let dims: Vec<usize> = (0..dim).filter(|&d| dim_mask[d]).collect();
 
-        let eager = margin::select(
-            |x| svm.margin(x),
+        let eager = margin::select_linear(
+            &svm,
             &corpus,
             &unlabeled,
             batch,

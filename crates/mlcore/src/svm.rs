@@ -455,13 +455,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn panel_values_have_decision_value_bits_at_every_dim() {
-        for dim in 0..=200 {
-            check_panel(dim, 1 + dim % 20, dim % 10, dim as u64);
-        }
-    }
-
     fn separable() -> (Vec<Vec<f64>>, Vec<bool>) {
         // Positive iff x0 > 0.5; x1 is noise.
         let mut xs = Vec::new();

@@ -94,8 +94,10 @@ proptest! {
             .iter()
             .map(|&w| LinearSvm::from_parts(vec![w], 0.1))
             .collect();
-        let v = qbc::committee_variance(&committee, &[x]);
-        prop_assert!((0.0..=0.25 + 1e-12).contains(&v));
+        let corpus = corpus_from(vec![x]);
+        let v = qbc::score_pool(&committee, &corpus, &[0], false, &alem_par::Parallelism::sequential());
+        prop_assert_eq!(v.len(), 1);
+        prop_assert!((0.0..=0.25 + 1e-12).contains(&v[0]));
     }
 
     /// Noisy oracle flip rate concentrates near the configured noise.
