@@ -5,7 +5,7 @@
 
 use alem_bench::data::prepare;
 use alem_core::learner::SvmTrainer;
-use alem_core::selector;
+use alem_core::strategy::{QbcStrategy, Strategy};
 use alem_obs::Registry;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use datagen::PaperDataset;
@@ -28,19 +28,17 @@ fn bench_committee_sizes(c: &mut Criterion) {
     group.sample_size(10);
     for b in [2usize, 5, 10, 20] {
         group.bench_with_input(BenchmarkId::from_parameter(b), &b, |bch, &b| {
+            let mut qbc = QbcStrategy::new(SvmTrainer::default(), b);
+            qbc.set_parallelism(alem_par::Parallelism::default());
             bch.iter(|| {
                 let mut rng = StdRng::seed_from_u64(1);
-                black_box(selector::qbc::select(
-                    &SvmTrainer::default(),
-                    b,
+                black_box(qbc.select(
                     corpus,
                     &labeled,
                     &unlabeled,
                     10,
                     &mut rng,
-                    false,
                     &Registry::disabled(),
-                    &alem_par::Parallelism::default(),
                 ))
             })
         });

@@ -59,7 +59,7 @@ fn main() {
 
     let round = |obs: &Registry| {
         let mut rng = StdRng::seed_from_u64(1);
-        black_box(selector::margin::select_linear(
+        black_box(selector::margin::select(
             &svm, corpus, &unlabeled, 10, &mut rng, obs, &par,
         ))
     };

@@ -8,11 +8,10 @@
 use alem_bench::data::prepare;
 use alem_core::learner::{SvmTrainer, Trainer};
 use alem_core::selector;
+use alem_core::strategy::{QbcStrategy, Strategy, TreeQbcStrategy};
 use alem_obs::Registry;
 use criterion::{criterion_group, criterion_main, Criterion};
 use datagen::PaperDataset;
-use mlcore::data::TrainSet;
-use mlcore::forest::ForestConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -32,20 +31,18 @@ fn bench_selection(c: &mut Criterion) {
     group.sample_size(10);
 
     for committee in [2usize, 20] {
+        let mut qbc = QbcStrategy::new(SvmTrainer::default(), committee);
+        qbc.set_parallelism(alem_par::Parallelism::default());
         group.bench_function(format!("qbc_svm_{committee}"), |b| {
             b.iter(|| {
                 let mut rng = StdRng::seed_from_u64(1);
-                black_box(selector::qbc::select(
-                    &SvmTrainer::default(),
-                    committee,
+                black_box(qbc.select(
                     corpus,
                     &labeled,
                     &unlabeled,
                     10,
                     &mut rng,
-                    false,
                     &Registry::disabled(),
-                    &alem_par::Parallelism::default(),
                 ))
             })
         });
@@ -64,7 +61,7 @@ fn bench_selection(c: &mut Criterion) {
     group.bench_function("margin_all_dims", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
-            black_box(selector::margin::select_linear(
+            black_box(selector::margin::select(
                 &svm,
                 corpus,
                 &unlabeled,
@@ -91,20 +88,21 @@ fn bench_selection(c: &mut Criterion) {
         })
     });
 
-    let xs: Vec<Vec<f64>> = labeled.iter().map(|&(i, _)| corpus.x(i).to_vec()).collect();
-    let ys: Vec<bool> = labeled.iter().map(|&(_, y)| y).collect();
-    let forest = ForestConfig::with_trees(20).train(&TrainSet::new(&xs, &ys), &mut rng);
+    let mut trees = TreeQbcStrategy::new(20);
+    trees.set_parallelism(alem_par::Parallelism::default());
+    trees
+        .fit(corpus, &labeled, &mut rng)
+        .expect("continuous features train a forest");
     group.bench_function("tree_qbc_20", |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(1);
-            black_box(selector::tree_qbc::select(
-                &forest,
+            black_box(trees.select(
                 corpus,
+                &labeled,
                 &unlabeled,
                 10,
                 &mut rng,
                 &Registry::disabled(),
-                &alem_par::Parallelism::default(),
             ))
         })
     });

@@ -13,7 +13,7 @@
 
 use alem_core::blocking::BlockingConfig;
 use alem_core::corpus::Corpus;
-use alem_core::ensemble::EnsembleSvmStrategy;
+use alem_core::ensemble::ActiveEnsembleStrategy;
 use alem_core::learner::{DnfTrainer, NnTrainer, SvmTrainer};
 use alem_core::loop_::{ActiveLearner, LoopParams};
 use alem_core::oracle::Oracle;
@@ -124,6 +124,10 @@ fn main() {
             MarginSvmStrategy::new(SvmTrainer::default())
         );
         run!(
+            "Linear-Margin(1Dim)",
+            MarginSvmStrategy::builder().blocking_dims(1).build()
+        );
+        run!(
             "Linear-QBC(10)",
             QbcStrategy::builder(SvmTrainer::default())
                 .committee_size(10)
@@ -131,7 +135,7 @@ fn main() {
         );
         run!(
             "Linear-Margin(Ensemble)",
-            EnsembleSvmStrategy::new(SvmTrainer::default(), 0.85)
+            ActiveEnsembleStrategy::new(SvmTrainer::default(), 0.85)
         );
         run!("NN-Margin", MarginNnStrategy::new(NnTrainer::default()));
         run!(

@@ -4,7 +4,7 @@
 use crate::data::prepare;
 use crate::runner::{paper_params, run_noisy, run_parallel, run_perfect, RUN_SEED};
 use alem_core::corpus::Corpus;
-use alem_core::ensemble::EnsembleSvmStrategy;
+use alem_core::ensemble::ActiveEnsembleStrategy;
 use alem_core::evaluator::RunResult;
 use alem_core::learner::{DnfTrainer, ForestTrainer, NnTrainer, SvmTrainer};
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
@@ -88,11 +88,8 @@ impl Spec {
                 Box::new(MarginSvmStrategy::builder().blocking_dims(k).build())
             }
             Spec::MarginNn => Box::new(MarginNnStrategy::new(NnTrainer::default())),
-            Spec::EnsembleSvm => Box::new(EnsembleSvmStrategy::new(SvmTrainer::default(), TAU)),
-            Spec::EnsembleNn => Box::new(alem_core::ensemble::ActiveEnsembleStrategy::new(
-                NnTrainer::default(),
-                TAU,
-            )),
+            Spec::EnsembleSvm => Box::new(ActiveEnsembleStrategy::new(SvmTrainer::default(), TAU)),
+            Spec::EnsembleNn => Box::new(ActiveEnsembleStrategy::new(NnTrainer::default(), TAU)),
             Spec::LshMargin(bits) => {
                 Box::new(LshMarginStrategy::new(SvmTrainer::default(), bits, 4))
             }
@@ -1248,7 +1245,7 @@ pub fn ablation_tau(cfg: ExpConfig) -> TableReport {
                 let params = paper_params(corpus, PAPER_MAX_LABELS);
                 run_perfect(
                     corpus,
-                    EnsembleSvmStrategy::new(SvmTrainer::default(), tau),
+                    ActiveEnsembleStrategy::new(SvmTrainer::default(), tau),
                     params,
                     RUN_SEED,
                 )

@@ -4,7 +4,7 @@ use crate::csv::{render, CsvTable};
 use crate::Args;
 use alem_core::blocking::{stats, BlockingConfig};
 use alem_core::corpus::Corpus;
-use alem_core::ensemble::EnsembleSvmStrategy;
+use alem_core::ensemble::ActiveEnsembleStrategy;
 use alem_core::learner::{DnfTrainer, NnTrainer, SvmTrainer};
 use alem_core::loop_::{ActiveLearner, LoopParams};
 use alem_core::oracle::Oracle;
@@ -214,7 +214,7 @@ fn build_strategy(
         "margin" => margin(),
         "margin1dim" => Box::new(MarginSvmStrategy::builder().blocking_dims(1).build()),
         "qbc10" => Box::new(QbcStrategy::new(SvmTrainer::default(), 10)),
-        "ensemble" => Box::new(EnsembleSvmStrategy::new(SvmTrainer::default(), 0.85)),
+        "ensemble" => Box::new(ActiveEnsembleStrategy::new(SvmTrainer::default(), 0.85)),
         "rules" => Box::new(LfpLfnStrategy::new(DnfTrainer::default(), 0.85)),
         "nn" => Box::new(MarginNnStrategy::new(NnTrainer::default())),
         other => return Err(format!("unknown strategy {other:?}").into()),

@@ -8,7 +8,6 @@
 //! derived lazily from the continuous rows on first use, so runs that never
 //! touch the rule learner never pay for a second full matrix.
 
-use crate::blocking::BlockingConfig;
 use crate::candidates::CandidateSource;
 use crate::error::AlemError;
 use crate::features::FeatureExtractor;
@@ -48,9 +47,9 @@ pub struct Corpus {
 
 impl Corpus {
     /// Build a corpus from any [`CandidateSource`] — the paper's Jaccard
-    /// filter ([`BlockingConfig`]), an `alem-block` index strategy, or
-    /// anything else that streams deterministic sorted pairs — featurize
-    /// eagerly, and attach ground truth. Returns the corpus and the
+    /// filter ([`crate::blocking::BlockingConfig`]), an `alem-block` index
+    /// strategy, or anything else that streams deterministic sorted pairs
+    /// — featurize eagerly, and attach ground truth. Returns the corpus and the
     /// (shared) extractor, whose feature descriptions the
     /// interpretability reports need.
     pub fn from_candidates(
@@ -90,45 +89,6 @@ impl Corpus {
     ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
         let pairs = source.collect_pairs(ds)?;
         Ok(Corpus::from_pairs_lazy(ds, pairs))
-    }
-
-    /// Build a corpus from an [`EmDataset`]: block, featurize, and attach
-    /// ground truth.
-    #[deprecated(
-        note = "use Corpus::from_candidates(ds, &blocking) — any CandidateSource \
-                (see the alem-block strategies) can feed a corpus now"
-    )]
-    pub fn from_dataset(
-        ds: &EmDataset,
-        blocking: &BlockingConfig,
-    ) -> (Self, Arc<FeatureExtractor>) {
-        Corpus::from_pairs_eager(ds, blocking.block(ds), &alem_par::Parallelism::default())
-    }
-
-    /// Blocking-config corpus with an explicit thread-count policy.
-    #[deprecated(
-        note = "use Corpus::from_candidates_with(ds, &blocking, par) — any CandidateSource \
-                (see the alem-block strategies) can feed a corpus now"
-    )]
-    pub fn from_dataset_with(
-        ds: &EmDataset,
-        blocking: &BlockingConfig,
-        par: &alem_par::Parallelism,
-    ) -> (Self, Arc<FeatureExtractor>) {
-        Corpus::from_pairs_eager(ds, blocking.block(ds), par)
-    }
-
-    /// Lazy blocking-config corpus.
-    #[deprecated(
-        note = "use Corpus::from_candidates_lazy_with(ds, &blocking, par) — any CandidateSource \
-                (see the alem-block strategies) can feed a corpus now"
-    )]
-    pub fn from_dataset_lazy_with(
-        ds: &EmDataset,
-        blocking: &BlockingConfig,
-        _par: &alem_par::Parallelism,
-    ) -> (Self, Arc<FeatureExtractor>) {
-        Corpus::from_pairs_lazy(ds, blocking.block(ds))
     }
 
     /// Eagerly featurized corpus over an already-materialized pair list.

@@ -13,30 +13,34 @@
 
 use crate::corpus::Corpus;
 use crate::error::AlemError;
-use crate::learner::{SvmTrainer, Trainer};
-use crate::selector::{self, Selection};
+use crate::learner::Trainer;
+use crate::selector;
 use crate::strategy::{labeled_rows, Strategy, StrategyStats};
 use alem_obs::Registry;
 use alem_par::Parallelism;
-use mlcore::svm::LinearSvm;
 use mlcore::Classifier;
 use rand::rngs::StdRng;
 
-/// Linear SVM + margin selection + incremental active ensemble.
-pub struct EnsembleSvmStrategy {
-    trainer: SvmTrainer,
+/// Margin selection + incremental active ensemble over any trainer:
+/// `Linear-Margin(Ensemble)` over [`crate::learner::SvmTrainer`], and over
+/// the neural net the extension the paper sketches at the end of §5.2
+/// ("Active ensemble for neural networks can be applied as discussed in
+/// the current section without much of a modification"). The candidate
+/// is scored by [`selector::margin::score_pool`].
+pub struct ActiveEnsembleStrategy<T: Trainer> {
+    trainer: T,
     /// Precision threshold τ for accepting a candidate (paper: 0.85).
     tau: f64,
-    accepted: Vec<LinearSvm>,
-    candidate: Option<LinearSvm>,
+    accepted: Vec<T::Model>,
+    candidate: Option<T::Model>,
     par: Parallelism,
 }
 
-impl EnsembleSvmStrategy {
-    /// Active ensemble with acceptance threshold `tau`.
-    pub fn new(trainer: SvmTrainer, tau: f64) -> Self {
+impl<T: Trainer> ActiveEnsembleStrategy<T> {
+    /// Active ensemble over `trainer` with acceptance threshold `tau`.
+    pub fn new(trainer: T, tau: f64) -> Self {
         assert!((0.0..=1.0).contains(&tau), "tau must be a probability");
-        EnsembleSvmStrategy {
+        ActiveEnsembleStrategy {
             trainer,
             tau,
             accepted: Vec::new(),
@@ -45,8 +49,8 @@ impl EnsembleSvmStrategy {
         }
     }
 
-    /// The accepted component classifiers ("#AcceptedSVMs" in Fig. 11).
-    pub fn accepted(&self) -> &[LinearSvm] {
+    /// The accepted component models ("#AcceptedSVMs" in Fig. 11).
+    pub fn accepted(&self) -> &[T::Model] {
         &self.accepted
     }
 
@@ -56,9 +60,9 @@ impl EnsembleSvmStrategy {
     }
 }
 
-impl Strategy for EnsembleSvmStrategy {
+impl<T: Trainer> Strategy for ActiveEnsembleStrategy<T> {
     fn name(&self) -> String {
-        "Linear-Margin(Ensemble)".to_owned()
+        format!("{}-Margin(Ensemble)", self.trainer.name())
     }
 
     fn fit(
@@ -74,27 +78,12 @@ impl Strategy for EnsembleSvmStrategy {
         Ok(())
     }
 
-    fn select(
-        &mut self,
-        corpus: &Corpus,
-        _labeled: &[(usize, bool)],
-        unlabeled: &[usize],
-        batch: usize,
-        rng: &mut StdRng,
-        obs: &Registry,
-    ) -> Selection {
-        let Some(svm) = self.candidate.as_ref() else {
-            return Selection::default();
-        };
-        selector::margin::select_linear(svm, corpus, unlabeled, batch, rng, obs, &self.par)
-    }
-
     fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        let svm = self.candidate.as_ref().ok_or_else(|| {
+        let model = self.candidate.as_ref().ok_or_else(|| {
             AlemError::InvalidConfig("ensemble has no candidate yet; call fit first".to_owned())
         })?;
-        Ok(selector::margin::score_pool_linear(
-            svm, corpus, unlabeled, &self.par,
+        Ok(selector::margin::score_pool(
+            model, corpus, unlabeled, &self.par,
         ))
     }
 
@@ -114,9 +103,8 @@ impl Strategy for EnsembleSvmStrategy {
     }
 
     fn saved_model(&self) -> Option<crate::model_io::SavedModel> {
-        let mut members = self.accepted.clone();
-        members.extend(self.candidate.clone());
-        Some(crate::model_io::SavedModel::SvmEnsemble(members))
+        let members: Vec<&T::Model> = self.accepted.iter().chain(&self.candidate).collect();
+        self.trainer.saved_ensemble(&members)
     }
 
     fn post_label(
@@ -168,156 +156,12 @@ impl Strategy for EnsembleSvmStrategy {
     }
 }
 
-/// Active ensemble generalized over any trainer — the extension the paper
-/// sketches at the end of §5.2 ("Active ensemble for neural networks can
-/// be applied as discussed in the current section without much of a
-/// modification"). Margin selection uses `|decision_value|`, acceptance
-/// and pool pruning work exactly as in [`EnsembleSvmStrategy`].
-pub struct ActiveEnsembleStrategy<T: Trainer> {
-    trainer: T,
-    tau: f64,
-    accepted: Vec<T::Model>,
-    candidate: Option<T::Model>,
-    par: Parallelism,
-}
-
-impl<T: Trainer> ActiveEnsembleStrategy<T> {
-    /// Active ensemble over `trainer` with acceptance threshold `tau`.
-    pub fn new(trainer: T, tau: f64) -> Self {
-        assert!((0.0..=1.0).contains(&tau), "tau must be a probability");
-        ActiveEnsembleStrategy {
-            trainer,
-            tau,
-            accepted: Vec::new(),
-            candidate: None,
-            par: Parallelism::sequential(),
-        }
-    }
-
-    /// Number of accepted component models.
-    pub fn accepted_len(&self) -> usize {
-        self.accepted.len()
-    }
-
-    fn union_predict(&self, x: &[f64]) -> bool {
-        self.accepted.iter().any(|m| m.predict(x))
-            || self.candidate.as_ref().is_some_and(|m| m.predict(x))
-    }
-}
-
-impl<T: Trainer> Strategy for ActiveEnsembleStrategy<T> {
-    fn name(&self) -> String {
-        format!("{}-Margin(Ensemble)", self.trainer.name())
-    }
-
-    fn fit(
-        &mut self,
-        corpus: &Corpus,
-        labeled: &[(usize, bool)],
-        rng: &mut StdRng,
-    ) -> Result<(), AlemError> {
-        let (xs, ys) = labeled_rows(corpus, labeled, false)?;
-        self.candidate = Some(self.trainer.train(&xs, &ys, rng));
-        Ok(())
-    }
-
-    fn select(
-        &mut self,
-        corpus: &Corpus,
-        _labeled: &[(usize, bool)],
-        unlabeled: &[usize],
-        batch: usize,
-        rng: &mut StdRng,
-        obs: &Registry,
-    ) -> Selection {
-        let Some(model) = self.candidate.as_ref() else {
-            return Selection::default();
-        };
-        selector::margin::select(
-            |x| model.decision_value(x).abs(),
-            corpus,
-            unlabeled,
-            batch,
-            rng,
-            obs,
-            &self.par,
-        )
-    }
-
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        let model = self.candidate.as_ref().ok_or_else(|| {
-            AlemError::InvalidConfig("ensemble has no candidate yet; call fit first".to_owned())
-        })?;
-        Ok(selector::margin::score_pool(
-            |x| model.decision_value(x).abs(),
-            corpus,
-            unlabeled,
-            &self.par,
-        ))
-    }
-
-    fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
-    }
-
-    fn predict(&self, corpus: &Corpus, i: usize) -> bool {
-        self.union_predict(corpus.x(i))
-    }
-
-    fn stats(&self) -> StrategyStats {
-        StrategyStats {
-            accepted_models: Some(self.accepted.len()),
-            ..StrategyStats::default()
-        }
-    }
-
-    fn post_label(
-        &mut self,
-        corpus: &Corpus,
-        new: &[(usize, bool)],
-        labeled: &mut Vec<(usize, bool)>,
-        unlabeled: &mut Vec<usize>,
-        _rng: &mut StdRng,
-        obs: &Registry,
-    ) {
-        let Some(candidate) = &self.candidate else {
-            return;
-        };
-        let mut claimed = 0usize;
-        let mut correct = 0usize;
-        for &(i, y) in new {
-            if candidate.predict(corpus.x(i)) {
-                claimed += 1;
-                if y {
-                    correct += 1;
-                }
-            }
-        }
-        if claimed == 0 || (correct as f64 / claimed as f64) < self.tau {
-            if claimed > 0 {
-                obs.counter_add("ensemble.rejected", 1);
-            }
-            return;
-        }
-        let Some(member) = self.candidate.take() else {
-            return;
-        };
-        let before = labeled.len() + unlabeled.len();
-        labeled.retain(|&(i, _)| !member.predict(corpus.x(i)));
-        unlabeled.retain(|&i| !member.predict(corpus.x(i)));
-        obs.counter_add("ensemble.accepted", 1);
-        obs.counter_add(
-            "ensemble.pruned_pairs",
-            (before - labeled.len() - unlabeled.len()) as u64,
-        );
-        obs.gauge_set("pool.unlabeled", unlabeled.len() as u64);
-        self.accepted.push(member);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::learner::{NnTrainer, SvmTrainer};
+    use crate::model_io::SavedModel;
+    use mlcore::svm::LinearSvm;
     use rand::SeedableRng;
 
     /// Two disjoint positive clusters: a single linear model can't cover
@@ -343,38 +187,40 @@ mod tests {
     fn accepts_high_precision_candidates_and_prunes() {
         let c = two_cluster_corpus();
         let mut rng = StdRng::seed_from_u64(5);
-        let mut s = EnsembleSvmStrategy::new(SvmTrainer::default(), 0.85);
-        let labeled: Vec<(usize, bool)> = (0..30).map(|i| (i, c.truth(i))).collect();
+        let mut s = ActiveEnsembleStrategy::new(SvmTrainer::default(), 0.85);
+        let mut labeled: Vec<(usize, bool)> = (0..30).map(|i| (i, c.truth(i))).collect();
         s.fit(&c, &labeled, &mut rng).unwrap();
 
-        // Build a batch of newly labeled examples the candidate predicts
-        // positive and that are truly positive.
+        // A batch of newly labeled examples the candidate predicts
+        // positive; all of them are truly positive.
         let new: Vec<(usize, bool)> = (30..60)
             .filter(|&i| s.candidate.as_ref().unwrap().predict(c.x(i)))
             .map(|i| (i, c.truth(i)))
             .collect();
-        if new.iter().filter(|&&(_, y)| y).count() == new.len() && !new.is_empty() {
-            let mut labeled = labeled.clone();
-            let mut unlabeled: Vec<usize> = (60..150).collect();
-            let before = unlabeled.len();
-            s.post_label(
-                &c,
-                &new,
-                &mut labeled,
-                &mut unlabeled,
-                &mut rng,
-                &Registry::disabled(),
-            );
-            assert_eq!(s.accepted().len(), 1);
-            assert!(unlabeled.len() < before, "covered pairs must be pruned");
-        }
+        assert_eq!(new.len(), 20, "the candidate claims 20 pairs");
+        assert!(
+            new.iter().all(|&(_, y)| y),
+            "every claimed pair is positive"
+        );
+        let mut unlabeled: Vec<usize> = (60..150).collect();
+        let before = unlabeled.len();
+        s.post_label(
+            &c,
+            &new,
+            &mut labeled,
+            &mut unlabeled,
+            &mut rng,
+            &Registry::disabled(),
+        );
+        assert_eq!(s.accepted().len(), 1);
+        assert!(unlabeled.len() < before, "covered pairs must be pruned");
     }
 
     #[test]
     fn low_precision_candidate_rejected() {
         let c = two_cluster_corpus();
         let mut rng = StdRng::seed_from_u64(5);
-        let mut s = EnsembleSvmStrategy::new(SvmTrainer::default(), 0.99);
+        let mut s = ActiveEnsembleStrategy::new(SvmTrainer::default(), 0.99);
         let labeled: Vec<(usize, bool)> = (0..30).map(|i| (i, c.truth(i))).collect();
         s.fit(&c, &labeled, &mut rng).unwrap();
         // A batch labeled all-negative forces precision 0 on claimed pairs.
@@ -397,7 +243,6 @@ mod tests {
 
     #[test]
     fn generic_ensemble_over_nn() {
-        use crate::learner::NnTrainer;
         let c = two_cluster_corpus();
         let mut rng = StdRng::seed_from_u64(5);
         let mut s = ActiveEnsembleStrategy::new(NnTrainer::default(), 0.85);
@@ -414,31 +259,31 @@ mod tests {
         );
         assert_eq!(sel.chosen.len(), 5);
         assert_eq!(s.stats().accepted_models, Some(0));
+        assert!(s.saved_model().is_none(), "only SVM ensembles persist");
         // Feeding it a perfectly-labeled claimed batch accepts the model
         // and prunes covered pairs.
         let claimed: Vec<(usize, bool)> = (30..90)
             .filter(|&i| s.candidate.as_ref().unwrap().predict(c.x(i)))
             .map(|i| (i, true))
             .collect();
-        if !claimed.is_empty() {
-            let mut l = labeled.clone();
-            let mut u: Vec<usize> = (90..150).collect();
-            s.post_label(
-                &c,
-                &claimed,
-                &mut l,
-                &mut u,
-                &mut rng,
-                &Registry::disabled(),
-            );
-            assert_eq!(s.accepted_len(), 1);
-        }
+        assert_eq!(claimed.len(), 40, "the candidate claims 40 pairs");
+        let mut l = labeled.clone();
+        let mut u: Vec<usize> = (90..150).collect();
+        s.post_label(
+            &c,
+            &claimed,
+            &mut l,
+            &mut u,
+            &mut rng,
+            &Registry::disabled(),
+        );
+        assert_eq!(s.accepted().len(), 1);
     }
 
     #[test]
     fn union_prediction_covers_all_accepted() {
         let c = two_cluster_corpus();
-        let mut s = EnsembleSvmStrategy::new(SvmTrainer::default(), 0.85);
+        let mut s = ActiveEnsembleStrategy::new(SvmTrainer::default(), 0.85);
         // Hand-craft two one-dimensional experts.
         s.accepted.push(LinearSvm::from_parts(vec![4.0, 0.0], -2.0));
         s.accepted.push(LinearSvm::from_parts(vec![0.0, 4.0], -2.0));
@@ -446,5 +291,10 @@ mod tests {
         assert!(s.predict(&c, 1)); // dim1-high positive
         assert!(!s.predict(&c, 2)); // negative
         assert_eq!(s.stats().accepted_models, Some(2));
+        // `alem match --strategy ensemble --save-model` persists the union.
+        assert!(matches!(
+            s.saved_model(),
+            Some(SavedModel::SvmEnsemble(members)) if members == s.accepted()
+        ));
     }
 }

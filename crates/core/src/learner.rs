@@ -8,6 +8,7 @@
 //! bootstrap resamples, which is [`Trainer::train_bootstraps`]: by
 //! default "call [`Trainer::train`] B times".
 
+use crate::model_io::SavedModel;
 use mlcore::data::TrainSet;
 use mlcore::forest::{ForestConfig, RandomForest};
 use mlcore::nn::{NeuralNet, NnConfig};
@@ -54,6 +55,13 @@ pub trait Trainer: Sync {
 
     /// Human-readable name used in reports (e.g. `"Linear"`).
     fn name(&self) -> &'static str;
+
+    /// Snapshot an active ensemble of this family's models for
+    /// persistence, if the family supports it (see
+    /// [`crate::model_io::SavedModel`]). Only [`SvmTrainer`] does.
+    fn saved_ensemble(&self, _members: &[&Self::Model]) -> Option<SavedModel> {
+        None
+    }
 }
 
 /// Linear SVM trainer (paper's linear classifier).
@@ -78,6 +86,12 @@ impl Trainer for SvmTrainer {
 
     fn name(&self) -> &'static str {
         "Linear"
+    }
+
+    fn saved_ensemble(&self, members: &[&LinearSvm]) -> Option<SavedModel> {
+        Some(SavedModel::SvmEnsemble(
+            members.iter().map(|&m| m.clone()).collect(),
+        ))
     }
 }
 

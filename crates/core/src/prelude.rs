@@ -12,7 +12,7 @@
 pub use crate::blocking::BlockingConfig;
 pub use crate::candidates::{BlockingReport, CandidateSource};
 pub use crate::corpus::Corpus;
-pub use crate::ensemble::EnsembleSvmStrategy;
+pub use crate::ensemble::ActiveEnsembleStrategy;
 pub use crate::error::AlemError;
 pub use crate::evaluator::RunResult;
 pub use crate::learner::{DnfTrainer, ForestTrainer, NnTrainer, SvmTrainer, Trainer};

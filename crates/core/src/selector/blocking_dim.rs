@@ -13,7 +13,7 @@
 //! the "margin(1Dim)" variant that cuts selection latency without hurting
 //! quality on most datasets (Fig. 10d, Fig. 11).
 
-use super::{scored_pool, top_k_desc, Selection, EXCLUDED};
+use super::{margin, scored_pool, top_k_desc, Selection, EXCLUDED};
 use crate::corpus::Corpus;
 use alem_obs::Registry;
 use alem_par::Parallelism;
@@ -47,15 +47,15 @@ pub fn score_pool(
     par: &Parallelism,
 ) -> Vec<f64> {
     let dims = svm.top_weight_dims(k);
-    let survivors: Vec<(usize, usize)> = unlabeled
+    let (slots, survivors): (Vec<usize>, Vec<usize>) = unlabeled
         .iter()
         .enumerate()
         .filter(|&(_, &i)| dims.iter().any(|&d| corpus.x(i)[d] != 0.0))
         .map(|(j, &i)| (j, i))
-        .collect();
-    let margins = par.map(&survivors, |&(_, i)| -svm.margin(corpus.x(i)));
+        .unzip();
+    let margins = margin::score_pool(svm, corpus, &survivors, par);
     let mut scores = vec![EXCLUDED; unlabeled.len()];
-    for (&(j, _), m) in survivors.iter().zip(margins) {
+    for (j, m) in slots.into_iter().zip(margins) {
         scores[j] = m;
     }
     scores
@@ -83,7 +83,7 @@ pub fn select(
     // Degenerate fallback: if pruning removed everything, fall back to the
     // skipped pool so active learning can still progress.
     if chosen.is_empty() && !unlabeled.is_empty() {
-        let scores = super::margin::score_pool_linear(svm, corpus, unlabeled, par);
+        let scores = margin::score_pool(svm, corpus, unlabeled, par);
         obs.counter_add("select.pairs_scored", unlabeled.len() as u64);
         chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
     }
@@ -157,7 +157,7 @@ mod tests {
             &Registry::disabled(),
             &Parallelism::sequential(),
         );
-        let vanilla = super::super::margin::select_linear(
+        let vanilla = margin::select(
             &svm,
             &c,
             &unlabeled,

@@ -14,8 +14,8 @@
 //! `-|decision|`.
 //!
 //! **Phase 2** materializes full rows only for pairs whose score interval
-//! reaches the selection threshold (the `batch`-th best worst-case bound,
-//! minus a configurable safety `band`) and scores them exactly.
+//! reaches the selection threshold (the `batch`-th best worst-case bound)
+//! and scores them exactly with [`margin::score_pool`].
 //!
 //! The chosen batch is **bit-identical to eager selection**: at least
 //! `batch` pairs have true score ≥ the phase-1 threshold `W`, every
@@ -26,31 +26,13 @@
 //! the partial and full summation orders is absorbed by widening both
 //! interval ends with an epsilon proportional to `|b| + Σ|w_d|`.
 
-use super::{scored_pool, top_k_desc, Selection};
+use super::{margin, scored_pool, top_k_desc, Selection};
 use crate::corpus::Corpus;
 use alem_obs::Registry;
 use alem_par::Parallelism;
 use mlcore::svm::LinearSvm;
 use rand::rngs::StdRng;
 use std::time::Duration;
-
-/// Tuning for two-phase lazy selection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LazyParams {
-    /// Dimensions read in phase 1 (the K highest-`|weight|` dims).
-    pub topk: usize,
-    /// Extra slack below the phase-1 threshold: pairs whose upper bound
-    /// falls within `band` of it still go to phase 2. Zero is already
-    /// exact; a positive band only trades speed for more phase-2 work.
-    pub band: f64,
-}
-
-impl LazyParams {
-    /// Read `topk` dims in phase 1 with no extra band.
-    pub fn new(topk: usize) -> Self {
-        LazyParams { topk, band: 0.0 }
-    }
-}
 
 /// Outcome of one lazy selection round.
 #[derive(Debug, Clone)]
@@ -63,38 +45,11 @@ pub struct LazySelection {
 }
 
 /// One two-phase margin-selection round, bit-identical in its chosen
-/// batch to [`super::margin::select_linear`] with the same SVM and RNG. Phase 1
-/// reads the current model's `topk` highest-`|weight|` dims.
+/// batch to [`margin::select`] with the same SVM and RNG. Phase 1 reads
+/// the caller's `dims`, usually the model's highest-`|weight|` dims.
 ///
 /// Soundness requires [`Corpus::features_bounded_01`]; callers gate on it
 /// and fall back to the eager path otherwise.
-#[allow(clippy::too_many_arguments)] // mirrors the eager selector's natural inputs
-pub fn select(
-    svm: &LinearSvm,
-    corpus: &Corpus,
-    unlabeled: &[usize],
-    batch: usize,
-    params: &LazyParams,
-    rng: &mut StdRng,
-    obs: &Registry,
-    par: &Parallelism,
-) -> LazySelection {
-    let topk = params.topk.min(svm.weights().len());
-    let dims = svm.top_weight_dims(topk);
-    select_with_dims(
-        svm,
-        corpus,
-        unlabeled,
-        batch,
-        &dims,
-        params.band,
-        rng,
-        obs,
-        par,
-    )
-}
-
-/// [`select`] with a caller-chosen phase-1 dim set.
 ///
 /// The bounds are valid for *any* set of distinct in-range dims — the
 /// unread remainder is always the complement under the current weights —
@@ -112,7 +67,6 @@ pub fn select_with_dims(
     unlabeled: &[usize],
     batch: usize,
     dims: &[usize],
-    band: f64,
     rng: &mut StdRng,
     obs: &Registry,
     par: &Parallelism,
@@ -215,7 +169,7 @@ pub fn select_with_dims(
         }
         let mut worsts: Vec<f64> = worst.to_vec();
         worsts.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        let t = worsts[k - 1] - band;
+        let t = worsts[k - 1];
         for j in 0..n {
             if alive[j] && best[j] < t {
                 alive[j] = false;
@@ -261,7 +215,8 @@ pub fn select_with_dims(
     let survivors: Vec<usize> = (0..n)
         .filter(|&j| alive[j] && best[j] >= threshold)
         .collect();
-    let exact: Vec<f64> = par.map(&survivors, |&j| -svm.margin(corpus.x(unlabeled[j])));
+    let rows: Vec<usize> = survivors.iter().map(|&j| unlabeled[j]).collect();
+    let exact = margin::score_pool(svm, corpus, &rows, par);
 
     // Hybrid score vector: exact where it matters, upper bound (provably
     // below the threshold, hence below every chosen score) elsewhere.
@@ -311,18 +266,17 @@ mod tests {
             let c = corpus(300, 12, seed);
             let m = svm(12, seed + 100);
             let unlabeled: Vec<usize> = (0..300).collect();
-            let params = LazyParams::new(4);
-            let lazy = select(
+            let lazy = select_with_dims(
                 &m,
                 &c,
                 &unlabeled,
                 10,
-                &params,
+                &m.top_weight_dims(4),
                 &mut StdRng::seed_from_u64(seed),
                 &Registry::disabled(),
                 &Parallelism::sequential(),
             );
-            let eager = super::super::margin::select_linear(
+            let eager = margin::select(
                 &m,
                 &c,
                 &unlabeled,
@@ -343,7 +297,7 @@ mod tests {
             let c = corpus(200, 10, seed);
             let m = svm(10, seed + 50);
             let unlabeled: Vec<usize> = (0..200).collect();
-            let eager = super::super::margin::select_linear(
+            let eager = margin::select(
                 &m,
                 &c,
                 &unlabeled,
@@ -364,7 +318,6 @@ mod tests {
                     &unlabeled,
                     8,
                     &dims,
-                    0.0,
                     &mut StdRng::seed_from_u64(seed),
                     &Registry::disabled(),
                     &Parallelism::sequential(),
@@ -388,12 +341,12 @@ mod tests {
         w[11] = 2.5;
         let m = LinearSvm::from_parts(w, -1.5);
         let unlabeled: Vec<usize> = (0..500).collect();
-        let out = select(
+        let out = select_with_dims(
             &m,
             &c,
             &unlabeled,
             10,
-            &LazyParams::new(6),
+            &m.top_weight_dims(6),
             &mut StdRng::seed_from_u64(1),
             &Registry::disabled(),
             &Parallelism::sequential(),
@@ -411,12 +364,12 @@ mod tests {
         let m = svm(10, 77);
         let unlabeled: Vec<usize> = (0..250).collect();
         let pick = |par: Parallelism| {
-            select(
+            select_with_dims(
                 &m,
                 &c,
                 &unlabeled,
                 10,
-                &LazyParams::new(3),
+                &m.top_weight_dims(3),
                 &mut StdRng::seed_from_u64(5),
                 &Registry::disabled(),
                 &par,
@@ -434,12 +387,12 @@ mod tests {
     fn empty_pool_is_fine() {
         let c = corpus(10, 4, 1);
         let m = svm(4, 2);
-        let out = select(
+        let out = select_with_dims(
             &m,
             &c,
             &[],
             10,
-            &LazyParams::new(2),
+            &m.top_weight_dims(2),
             &mut StdRng::seed_from_u64(1),
             &Registry::disabled(),
             &Parallelism::sequential(),

@@ -14,7 +14,7 @@
 //! Active learning for rules terminates when neither kind exists, which is
 //! why the paper's rule runs stop early with few labels (§6, Table 2).
 
-use super::{score_pool_with, top_k_desc, Selection, EXCLUDED};
+use super::{top_k_desc, Selection, EXCLUDED};
 use crate::corpus::Corpus;
 use alem_obs::Registry;
 use alem_par::Parallelism;
@@ -78,7 +78,7 @@ pub fn score_pool(
         return vec![EXCLUDED; unlabeled.len()];
     };
     let minus = candidate.minus_variants();
-    score_pool_with(par, unlabeled, |i| {
+    par.map(unlabeled, |&i| {
         let b = &bools[i];
         if accepted.matches(b) {
             EXCLUDED // already covered by accepted high-precision rules

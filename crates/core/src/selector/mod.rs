@@ -17,7 +17,9 @@ pub mod margin;
 pub mod qbc;
 pub mod tree_qbc;
 
-use alem_par::Parallelism;
+use crate::error::AlemError;
+use alem_obs::Registry;
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::time::Duration;
@@ -27,18 +29,6 @@ use std::time::Duration;
 /// drop excluded entries before ranking, so an excluded example is never
 /// chosen even when the pool is smaller than the batch.
 pub const EXCLUDED: f64 = f64::NEG_INFINITY;
-
-/// Pool-scoring fan-out for a scorer of one pool index at a time: score
-/// `unlabeled[j]` with `score`, in parallel per `par`, returning a score
-/// vector aligned with `unlabeled`. Chunk boundaries depend only on `(len, threads)` and
-/// results merge in chunk order, so the output is byte-identical for any
-/// thread count (see `alem_par::chunks`).
-pub fn score_pool_with<F>(par: &Parallelism, unlabeled: &[usize], score: F) -> Vec<f64>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    par.map(unlabeled, |&i| score(i))
-}
 
 /// Pair pool indices with their scores, dropping [`EXCLUDED`] entries.
 pub fn scored_pool(unlabeled: &[usize], scores: &[f64]) -> Vec<(usize, f64)> {
@@ -69,6 +59,30 @@ impl Selection {
     }
 }
 
+/// One whole-pool selection round: run `score` (scores aligned with
+/// `unlabeled`) under the `select.score` span and take the `batch`
+/// highest, ties randomized. An `Err` (no model yet) gives an empty
+/// [`Selection`].
+pub(crate) fn select_top_k(
+    unlabeled: &[usize],
+    batch: usize,
+    rng: &mut StdRng,
+    obs: &Registry,
+    score: impl FnOnce() -> Result<Vec<f64>, AlemError>,
+) -> Selection {
+    let score_span = obs.span("select.score");
+    let Ok(scores) = score() else {
+        return Selection::default();
+    };
+    obs.counter_add("select.pairs_scored", scores.len() as u64);
+    let chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
+    Selection {
+        chosen,
+        committee_creation: Duration::ZERO,
+        scoring: score_span.finish(),
+    }
+}
+
 /// Pick the `k` candidates with the highest score, randomizing ties by
 /// shuffling before a stable sort (the paper randomizes among equally
 /// ambiguous examples, §4.1).
@@ -88,7 +102,6 @@ pub fn bottom_k_asc<R: Rng>(mut scored: Vec<(usize, f64)>, k: usize, rng: &mut R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
@@ -131,13 +144,17 @@ mod tests {
     }
 
     #[test]
-    fn score_pool_with_is_thread_count_invariant() {
-        let unlabeled: Vec<usize> = (0..97).collect();
-        let f = |i: usize| (i as f64).sin();
-        let seq = score_pool_with(&Parallelism::sequential(), &unlabeled, f);
-        for t in [2, 3, 8] {
-            assert_eq!(seq, score_pool_with(&Parallelism::fixed(t), &unlabeled, f));
-        }
-        assert_eq!(seq.len(), 97);
+    fn select_top_k_skips_excluded_and_degrades_on_err() {
+        let obs = Registry::disabled();
+        let mut rng = StdRng::seed_from_u64(1);
+        let sel = select_top_k(&[4, 9, 2], 5, &mut rng, &obs, || {
+            Ok(vec![0.5, EXCLUDED, 0.9])
+        });
+        assert_eq!(sel.chosen, vec![2, 4]);
+        assert_eq!(sel.committee_creation, Duration::ZERO);
+        let none = select_top_k(&[4, 9, 2], 5, &mut rng, &obs, || {
+            Err(AlemError::InvalidConfig("no model".to_owned()))
+        });
+        assert!(none.chosen.is_empty());
     }
 }

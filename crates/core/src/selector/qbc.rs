@@ -7,10 +7,8 @@
 //! The latency is reported split into committee-creation and
 //! example-scoring time, the decomposition plotted in Fig. 10.
 
-use super::{scored_pool, top_k_desc, Selection};
 use crate::corpus::Corpus;
 use crate::learner::Trainer;
-use alem_obs::Registry;
 use alem_par::Parallelism;
 use mlcore::data::bootstrap_indices;
 use mlcore::Classifier;
@@ -102,58 +100,12 @@ pub fn score_pool<M: Classifier + Sync>(
     })
 }
 
-/// One QBC selection round: build the committee, score the unlabeled pool,
-/// return the `batch` most ambiguous examples. Returns the trained
-/// committee alongside the selection so callers can reuse it for
-/// [`crate::strategy::Strategy::score_pool`].
-#[allow(clippy::too_many_arguments)] // mirrors the pipeline's natural inputs
-pub fn select<T: Trainer>(
-    trainer: &T,
-    committee_size: usize,
-    corpus: &Corpus,
-    labeled: &[(usize, bool)],
-    unlabeled: &[usize],
-    batch: usize,
-    rng: &mut StdRng,
-    use_bool_features: bool,
-    obs: &Registry,
-    par: &Parallelism,
-) -> (Selection, Vec<T::Model>) {
-    let committee_span = obs.span("select.committee");
-    let committee = train_committee(
-        trainer,
-        corpus,
-        labeled,
-        committee_size,
-        rng,
-        use_bool_features,
-        par,
-    );
-    let committee_creation = committee_span.finish();
-    if committee.is_empty() {
-        return (Selection::default(), committee);
-    }
-
-    let score_span = obs.span("select.score");
-    let scores = score_pool(&committee, corpus, unlabeled, use_bool_features, par);
-    obs.counter_add("select.pairs_scored", scores.len() as u64);
-    let chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
-    let scoring = score_span.finish();
-
-    (
-        Selection {
-            chosen,
-            committee_creation,
-            scoring,
-        },
-        committee,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::learner::SvmTrainer;
+    use crate::strategy::{QbcStrategy, Strategy};
+    use alem_obs::Registry;
     use mlcore::data::TrainSet;
     use mlcore::svm::{LinearSvm, SvmConfig};
     use proptest::prelude::*;
@@ -280,19 +232,14 @@ mod tests {
             .filter(|i| !labeled.iter().any(|(j, _)| j == i))
             .collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let (sel, committee) = select(
-            &SvmTrainer::default(),
-            4,
+        let sel = QbcStrategy::new(SvmTrainer::default(), 4).select(
             &c,
             &labeled,
             &unlabeled,
             10,
             &mut rng,
-            false,
             &Registry::disabled(),
-            &Parallelism::sequential(),
         );
-        assert_eq!(committee.len(), 4);
         assert_eq!(sel.chosen.len(), 10);
         for i in &sel.chosen {
             assert!(unlabeled.contains(i));
@@ -312,17 +259,13 @@ mod tests {
             .filter(|i| !labeled.iter().any(|(j, _)| j == i))
             .collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let (sel, _) = select(
-            &SvmTrainer::default(),
-            8,
+        let sel = QbcStrategy::new(SvmTrainer::default(), 8).select(
             &c,
             &labeled,
             &unlabeled,
             10,
             &mut rng,
-            false,
             &Registry::disabled(),
-            &Parallelism::sequential(),
         );
         // The decision boundary is at 0.5; the committee should disagree
         // mostly near it.

@@ -7,13 +7,9 @@
 //! times across forest sizes and Fig. 13 shows trees with the lowest user
 //! wait times.
 
-use super::{score_pool_with, scored_pool, top_k_desc, Selection};
 use crate::corpus::Corpus;
-use alem_obs::Registry;
 use alem_par::Parallelism;
 use mlcore::forest::RandomForest;
-use rand::rngs::StdRng;
-use std::time::Duration;
 
 /// Vote-variance scores for the pool, aligned with `unlabeled`; higher =
 /// more tree disagreement. Thread-count invariant.
@@ -23,36 +19,17 @@ pub fn score_pool(
     unlabeled: &[usize],
     par: &Parallelism,
 ) -> Vec<f64> {
-    score_pool_with(par, unlabeled, |i| forest.vote_variance(corpus.x(i)))
-}
-
-/// One learner-aware QBC round over an already-trained forest.
-pub fn select(
-    forest: &RandomForest,
-    corpus: &Corpus,
-    unlabeled: &[usize],
-    batch: usize,
-    rng: &mut StdRng,
-    obs: &Registry,
-    par: &Parallelism,
-) -> Selection {
-    let score_span = obs.span("select.score");
-    let scores = score_pool(forest, corpus, unlabeled, par);
-    obs.counter_add("select.pairs_scored", scores.len() as u64);
-    let chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
-    Selection {
-        chosen,
-        committee_creation: Duration::ZERO,
-        scoring: score_span.finish(),
-    }
+    par.map(unlabeled, |&i| forest.vote_variance(corpus.x(i)))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use mlcore::data::TrainSet;
-    use mlcore::forest::ForestConfig;
+    use crate::corpus::Corpus;
+    use crate::strategy::{Strategy, TreeQbcStrategy};
+    use alem_obs::Registry;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::time::Duration;
 
     fn corpus() -> Corpus {
         let feats: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 100.0]).collect();
@@ -63,20 +40,23 @@ mod tests {
     #[test]
     fn no_committee_creation_time() {
         let c = corpus();
-        let labeled: Vec<usize> = vec![0, 10, 20, 30, 60, 70, 80, 90];
-        let xs: Vec<Vec<f64>> = labeled.iter().map(|&i| c.x(i).to_vec()).collect();
-        let ys: Vec<bool> = labeled.iter().map(|&i| c.truth(i)).collect();
+        let labeled: Vec<(usize, bool)> = [0, 10, 20, 30, 60, 70, 80, 90]
+            .iter()
+            .map(|&i| (i, c.truth(i)))
+            .collect();
         let mut rng = StdRng::seed_from_u64(2);
-        let forest = ForestConfig::with_trees(10).train(&TrainSet::new(&xs, &ys), &mut rng);
-        let unlabeled: Vec<usize> = (0..100).filter(|i| !labeled.contains(i)).collect();
-        let sel = select(
-            &forest,
+        let mut s = TreeQbcStrategy::new(10);
+        s.fit(&c, &labeled, &mut rng).unwrap();
+        let unlabeled: Vec<usize> = (0..100)
+            .filter(|i| !labeled.iter().any(|(j, _)| j == i))
+            .collect();
+        let sel = s.select(
             &c,
+            &labeled,
             &unlabeled,
             10,
             &mut rng,
             &Registry::disabled(),
-            &Parallelism::sequential(),
         );
         assert_eq!(sel.committee_creation, Duration::ZERO);
         assert_eq!(sel.chosen.len(), 10);

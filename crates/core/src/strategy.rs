@@ -74,16 +74,25 @@ pub trait Strategy {
     /// the returned [`Selection`] is sourced from `obs` spans
     /// (`select.committee` / `select.score`); pass
     /// [`Registry::disabled`] when telemetry is off.
+    ///
+    /// The default takes the `batch` highest [`Strategy::score_pool`]
+    /// scores, ties randomized, and selects nothing when `score_pool`
+    /// errs. Strategies whose policy is not the top k of a whole-pool
+    /// score override it.
     #[allow(clippy::too_many_arguments)] // mirrors the pipeline's natural inputs
     fn select(
         &mut self,
         corpus: &Corpus,
-        labeled: &[(usize, bool)],
+        _labeled: &[(usize, bool)],
         unlabeled: &[usize],
         batch: usize,
         rng: &mut StdRng,
         obs: &Registry,
-    ) -> Selection;
+    ) -> Selection {
+        selector::select_top_k(unlabeled, batch, rng, obs, || {
+            self.score_pool(corpus, unlabeled)
+        })
+    }
 
     /// Batch ambiguity scores for the unlabeled pool: entry `j` scores
     /// `unlabeled[j]`, higher means more informative, and
@@ -91,8 +100,8 @@ pub trait Strategy {
     /// select (pruned by blocking dimensions, covered by accepted rules).
     ///
     /// This is the uniform batch-scoring surface behind every selector:
-    /// [`Strategy::select`] implementations are thin top-k consumers of
-    /// these scores, and the parallel fan-out (see
+    /// the default [`Strategy::select`] is a top-k consumer of these
+    /// scores, and the parallel fan-out (see
     /// [`Strategy::set_parallelism`]) happens inside this single method
     /// family instead of once per selector.
     ///
@@ -398,17 +407,6 @@ impl<T: Trainer> QbcStrategy<T> {
         }
     }
 
-    /// QBC over Boolean predicate features (rule learners, Fig. 19).
-    #[deprecated(
-        note = "use QbcStrategy::builder(trainer).committee_size(n).bool_features(true).build()"
-    )]
-    pub fn new_bool(trainer: T, committee_size: usize) -> Self {
-        QbcStrategy::builder(trainer)
-            .committee_size(committee_size)
-            .bool_features(true)
-            .build()
-    }
-
     /// The current trained model, if any.
     pub fn model(&self) -> Option<&T::Model> {
         self.model.as_ref()
@@ -440,20 +438,23 @@ impl<T: Trainer> Strategy for QbcStrategy<T> {
         rng: &mut StdRng,
         obs: &Registry,
     ) -> Selection {
-        let (sel, committee) = selector::qbc::select(
+        let committee_span = obs.span("select.committee");
+        self.committee = selector::qbc::train_committee(
             &self.trainer,
-            self.committee_size,
             corpus,
             labeled,
-            unlabeled,
-            batch,
+            self.committee_size,
             rng,
             self.use_bool,
-            obs,
             &self.par,
         );
-        self.committee = committee;
-        sel
+        let committee_creation = committee_span.finish();
+        Selection {
+            committee_creation,
+            ..selector::select_top_k(unlabeled, batch, rng, obs, || {
+                self.score_pool(corpus, unlabeled)
+            })
+        }
     }
 
     fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
@@ -571,12 +572,6 @@ impl TreeQbcStrategy {
         }
     }
 
-    /// Use a custom forest trainer (ablation benches).
-    #[deprecated(note = "use TreeQbcStrategy::builder().trainer(t).build()")]
-    pub fn with_trainer(trainer: ForestTrainer) -> Self {
-        TreeQbcStrategy::builder().trainer(trainer).build()
-    }
-
     /// The current forest, if trained.
     pub fn model(&self) -> Option<&RandomForest> {
         self.model.as_ref()
@@ -621,21 +616,6 @@ impl Strategy for TreeQbcStrategy {
             }
         }
         Ok(())
-    }
-
-    fn select(
-        &mut self,
-        corpus: &Corpus,
-        _labeled: &[(usize, bool)],
-        unlabeled: &[usize],
-        batch: usize,
-        rng: &mut StdRng,
-        obs: &Registry,
-    ) -> Selection {
-        let Some(forest) = self.model.as_ref() else {
-            return Selection::default();
-        };
-        selector::tree_qbc::select(forest, corpus, unlabeled, batch, rng, obs, &self.par)
     }
 
     fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
@@ -708,7 +688,8 @@ const LAZY_DIMS_STICKINESS: f64 = 0.9;
 pub struct MarginSvmStrategy {
     trainer: SvmTrainer,
     blocking_k: Option<usize>,
-    lazy: Option<selector::lazy_margin::LazyParams>,
+    /// Phase-1 dims of two-phase lazy selection, if enabled.
+    lazy_topk: Option<usize>,
     /// Sticky phase-1 dim set: kept across rounds while it retains
     /// [`LAZY_DIMS_STICKINESS`] of the fresh top-`k` weight mass,
     /// refreshed otherwise. Selection is bit-identical for any dim set
@@ -738,7 +719,7 @@ pub struct MarginSvmStrategy {
 pub struct MarginSvmStrategyBuilder {
     trainer: SvmTrainer,
     blocking_k: Option<usize>,
-    lazy: Option<selector::lazy_margin::LazyParams>,
+    lazy_topk: Option<usize>,
     warm: bool,
 }
 
@@ -763,20 +744,7 @@ impl MarginSvmStrategyBuilder {
     /// with `[0, 1]`-bounded features, eager fallback otherwise. Ignored
     /// when blocking dims are configured (that path already prunes).
     pub fn lazy_topk(mut self, k: usize) -> Self {
-        self.lazy = Some(selector::lazy_margin::LazyParams::new(k));
-        self
-    }
-
-    /// Widen the phase-2 band of [`MarginSvmStrategyBuilder::lazy_topk`]:
-    /// pairs whose score upper bound lands within `band` of the phase-1
-    /// threshold are also materialized. Zero (the default) is already
-    /// exact; implies `lazy_topk`'s default if not set.
-    pub fn lazy_band(mut self, band: f64) -> Self {
-        let params = self
-            .lazy
-            .take()
-            .unwrap_or_else(|| selector::lazy_margin::LazyParams::new(8));
-        self.lazy = Some(selector::lazy_margin::LazyParams { band, ..params });
+        self.lazy_topk = Some(k);
         self
     }
 
@@ -795,7 +763,7 @@ impl MarginSvmStrategyBuilder {
         MarginSvmStrategy {
             trainer: self.trainer,
             blocking_k: self.blocking_k,
-            lazy: self.lazy,
+            lazy_topk: self.lazy_topk,
             lazy_dims: None,
             warm: self.warm,
             warm_state: None,
@@ -818,15 +786,6 @@ impl MarginSvmStrategy {
     /// all dimensions with a default SVM trainer.
     pub fn builder() -> MarginSvmStrategyBuilder {
         MarginSvmStrategyBuilder::default()
-    }
-
-    /// Margin with top-`k` blocking dimensions.
-    #[deprecated(note = "use MarginSvmStrategy::builder().trainer(t).blocking_dims(k).build()")]
-    pub fn with_blocking(trainer: SvmTrainer, k: usize) -> Self {
-        MarginSvmStrategy::builder()
-            .trainer(trainer)
-            .blocking_dims(k)
-            .build()
     }
 
     /// The current SVM, if trained.
@@ -916,7 +875,7 @@ impl Strategy for MarginSvmStrategy {
         let Some(svm) = self.model.as_ref() else {
             return Selection::default();
         };
-        match (self.blocking_k, &self.lazy) {
+        match (self.blocking_k, self.lazy_topk) {
             (Some(k), _) => {
                 let out = selector::blocking_dim::select(
                     svm, k, corpus, unlabeled, batch, rng, obs, &self.par,
@@ -924,7 +883,7 @@ impl Strategy for MarginSvmStrategy {
                 self.last_pruned = Some(out.pruned);
                 out.selection
             }
-            (None, Some(params)) if corpus.features_bounded_01() => {
+            (None, Some(topk)) if corpus.features_bounded_01() => {
                 // Drop a stale set if the dimensionality changed under us
                 // (different corpus mid-run).
                 if self
@@ -934,7 +893,7 @@ impl Strategy for MarginSvmStrategy {
                 {
                     self.lazy_dims = None;
                 }
-                let topk = params.topk.min(svm.weights().len());
+                let topk = topk.min(svm.weights().len());
                 let fresh = svm.top_weight_dims(topk);
                 let mass =
                     |dims: &[usize]| dims.iter().map(|&d| svm.weights()[d].abs()).sum::<f64>();
@@ -946,21 +905,13 @@ impl Strategy for MarginSvmStrategy {
                 } else {
                     self.lazy_dims.insert(fresh)
                 };
-                let out = selector::lazy_margin::select_with_dims(
-                    svm,
-                    corpus,
-                    unlabeled,
-                    batch,
-                    dims,
-                    params.band,
-                    rng,
-                    obs,
-                    &self.par,
-                );
-                out.selection
+                selector::lazy_margin::select_with_dims(
+                    svm, corpus, unlabeled, batch, dims, rng, obs, &self.par,
+                )
+                .selection
             }
             (None, _) => {
-                selector::margin::select_linear(svm, corpus, unlabeled, batch, rng, obs, &self.par)
+                selector::margin::select(svm, corpus, unlabeled, batch, rng, obs, &self.par)
             }
         }
     }
@@ -971,7 +922,7 @@ impl Strategy for MarginSvmStrategy {
         })?;
         Ok(match self.blocking_k {
             Some(k) => selector::blocking_dim::score_pool(svm, k, corpus, unlabeled, &self.par),
-            None => selector::margin::score_pool_linear(svm, corpus, unlabeled, &self.par),
+            None => selector::margin::score_pool(svm, corpus, unlabeled, &self.par),
         })
     }
 
@@ -1104,7 +1055,7 @@ impl Strategy for LshMarginStrategy {
         let svm = self.model.as_ref().ok_or_else(|| {
             AlemError::InvalidConfig("LSH margin has no model yet; call fit first".to_owned())
         })?;
-        Ok(selector::margin::score_pool_linear(
+        Ok(selector::margin::score_pool(
             svm, corpus, unlabeled, &self.par,
         ))
     }
@@ -1170,38 +1121,12 @@ impl Strategy for MarginNnStrategy {
         Ok(())
     }
 
-    fn select(
-        &mut self,
-        corpus: &Corpus,
-        _labeled: &[(usize, bool)],
-        unlabeled: &[usize],
-        batch: usize,
-        rng: &mut StdRng,
-        obs: &Registry,
-    ) -> Selection {
-        let Some(net) = self.model.as_ref() else {
-            return Selection::default();
-        };
-        selector::margin::select(
-            |x| net.margin(x).abs(),
-            corpus,
-            unlabeled,
-            batch,
-            rng,
-            obs,
-            &self.par,
-        )
-    }
-
     fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
         let net = self.model.as_ref().ok_or_else(|| {
             AlemError::InvalidConfig("NN margin has no model yet; call fit first".to_owned())
         })?;
         Ok(selector::margin::score_pool(
-            |x| net.margin(x).abs(),
-            corpus,
-            unlabeled,
-            &self.par,
+            net, corpus, unlabeled, &self.par,
         ))
     }
 
@@ -1530,15 +1455,6 @@ impl<T: Trainer> RandomStrategy<T> {
             train_frac: 1.0,
         }
     }
-
-    /// Random selection training on a fraction of labels (3:1
-    /// train:validation, like the paper's DeepMatcher runs).
-    #[deprecated(note = "use RandomStrategy::builder(trainer, label).train_frac(f).build()")]
-    pub fn with_train_frac(trainer: T, label: &str, train_frac: f64) -> Self {
-        RandomStrategy::builder(trainer, label)
-            .train_frac(train_frac)
-            .build()
-    }
 }
 
 impl<T: Trainer> Strategy for RandomStrategy<T> {
@@ -1680,28 +1596,6 @@ mod tests {
         assert_eq!(s.accepted().clauses().len(), 1);
         assert!(s.predict(&c, 70));
         assert!(!s.predict(&c, 10));
-    }
-
-    #[test]
-    #[allow(deprecated)] // shim-equivalence: builders must match the old constructors
-    fn builders_replace_constructor_zoo() {
-        let a = QbcStrategy::new_bool(SvmTrainer::default(), 7);
-        let b = QbcStrategy::builder(SvmTrainer::default())
-            .committee_size(7)
-            .bool_features(true)
-            .build();
-        assert_eq!(a.name(), b.name());
-        let c = MarginSvmStrategy::with_blocking(SvmTrainer::default(), 2);
-        let d = MarginSvmStrategy::builder().blocking_dims(2).build();
-        assert_eq!(c.name(), d.name());
-        let e = TreeQbcStrategy::with_trainer(ForestTrainer::with_trees(4));
-        let f = TreeQbcStrategy::builder().trees(4).build();
-        assert_eq!(e.name(), f.name());
-        let g = RandomStrategy::with_train_frac(SvmTrainer::default(), "R", 0.75);
-        let h = RandomStrategy::builder(SvmTrainer::default(), "R")
-            .train_frac(0.75)
-            .build();
-        assert_eq!(g.name(), h.name());
     }
 
     #[test]

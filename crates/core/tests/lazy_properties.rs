@@ -47,7 +47,7 @@ proptest! {
         let unlabeled: Vec<usize> = (0..n).collect();
         let dims: Vec<usize> = (0..dim).filter(|&d| dim_mask[d]).collect();
 
-        let eager = margin::select_linear(
+        let eager = margin::select(
             &svm,
             &corpus,
             &unlabeled,
@@ -62,7 +62,6 @@ proptest! {
             &unlabeled,
             batch,
             &dims,
-            0.0,
             &mut StdRng::seed_from_u64(seed ^ 0xabcd),
             &Registry::disabled(),
             &Parallelism::sequential(),

@@ -12,7 +12,7 @@
 //! | `par-only-threads` | threads are created only inside `crates/par`: compute fan-outs via `alem_par::Parallelism` (thread-count-invariant chunking), long-lived service threads via `alem_par::supervised::spawn` (named, panic-containing); `thread::spawn`/`thread::scope`/`crossbeam::scope`/`thread::Builder` are flagged everywhere else |
 //! | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `vendor-path-deps` | every `[workspace.dependencies]` entry is an offline `vendor/` or `crates/` path dependency (PR 1's offline-registry invariant) |
-//! | `obs-naming` | instrumented subsystems keep telemetry inside their registered family prefixes (selectors: `select.*`/`feat.*` plus mandatory `select.pairs_scored`; serve: `serve.*`/`checkpoint.*`; flight recorder: `obs.*`) and never hard-code trace ids — ids arrive from the client on the wire |
+//! | `obs-naming` | instrumented subsystems keep telemetry inside their registered family prefixes (selectors: `select.*`/`feat.*`, and every selector file that records telemetry registers `select.pairs_scored`; serve: `serve.*`/`checkpoint.*`; flight recorder: `obs.*`) and never hard-code trace ids — ids arrive from the client on the wire |
 //! | `flat-feature-store` | `crates/core` library code never allocates a `Vec<Vec<f64>>` feature matrix outside `core::featurestore` — the flat SoA [`FeatureStore`](../../core/src/featurestore.rs) is the one feature-matrix representation (row-per-`Vec` defeats its cache layout and lazy memoization) |
 //! | `bad-allow` | an `// alem-lint: allow(...)` annotation must state a non-empty reason |
 //!
@@ -33,8 +33,8 @@ const NO_PANIC_CRATES: &[&str] = &["block", "core", "mlcore", "linalg", "textsim
 /// Obs-name prefix selector modules must use, per DESIGN.md §7.
 const SELECTOR_OBS_PREFIX: &str = "select";
 
-/// The counter every selector module must register (§5.1 latency
-/// instrumentation: scored = inspected − skipped).
+/// The counter every selector module that records telemetry must
+/// register (§5.1 latency instrumentation: scored = inspected − skipped).
 const SELECTOR_REQUIRED_COUNTER: &str = "select.pairs_scored";
 
 /// Which telemetry-name families a file may register, and which counter
@@ -44,7 +44,9 @@ const SELECTOR_REQUIRED_COUNTER: &str = "select.pairs_scored";
 struct ObsNamingPolicy {
     /// Allowed first segments of dotted obs names.
     families: &'static [&'static str],
-    /// A counter the file must register, if the subsystem has one.
+    /// A counter the file must register if it records any telemetry, if
+    /// the subsystem has one. A file that records nothing (a pure scorer
+    /// whose round the shared picker records) is exempt.
     required_counter: Option<&'static str>,
     /// Short label used in diagnostics ("selector", "serve", ...).
     subsystem: &'static str,
@@ -54,7 +56,7 @@ struct ObsNamingPolicy {
 /// without a policy get no obs-naming enforcement (their test scaffolding
 /// uses throwaway names on purpose).
 fn obs_naming_policy(rel: &str) -> Option<ObsNamingPolicy> {
-    if rel.starts_with("crates/core/src/selector/") && !rel.ends_with("/mod.rs") {
+    if rel.starts_with("crates/core/src/selector/") {
         // Selectors own `select.*`; the two-phase lazy selector also
         // reports feature-extraction telemetry under `feat.*`
         // (`feat.phase1_only`), the family the feature store shares.
@@ -672,6 +674,7 @@ fn rule_obs_naming_dispatch(ctx: &mut Ctx<'_>, _class: &FileClass) {
 fn rule_obs_naming(ctx: &mut Ctx<'_>, policy: &ObsNamingPolicy) {
     const CALLS: &[&str] = &["span(", "counter_add(", "gauge_set("];
     let mut registers_required = policy.required_counter.is_none();
+    let mut records = false;
     for lit in &ctx.lexed.strings {
         let (line, _) = ctx.lexed.position(lit.offset);
         let in_test = ctx.lexed.is_test_line(line);
@@ -692,6 +695,7 @@ fn rule_obs_naming(ctx: &mut Ctx<'_>, policy: &ObsNamingPolicy) {
         if !is_obs_name || in_test {
             continue;
         }
+        records = true;
         if Some(lit.value.as_str()) == policy.required_counter {
             registers_required = true;
         }
@@ -717,7 +721,7 @@ fn rule_obs_naming(ctx: &mut Ctx<'_>, policy: &ObsNamingPolicy) {
             );
         }
     }
-    if !registers_required {
+    if records && !registers_required {
         let required = policy.required_counter.unwrap_or_default();
         ctx.report_at_line(
             "obs-naming",
@@ -930,6 +934,11 @@ mod tests {
 }
 "#;
         assert!(lint_source("crates/core/src/selector/margin.rs", ok).is_empty());
+        // The shared picker in `mod.rs` is a selector file too; a pure
+        // scorer that records nothing leaves the count to that picker.
+        assert_eq!(lint_source("crates/core/src/selector/mod.rs", src).len(), 2);
+        let scorer = "pub fn score_pool(xs: &[f64]) -> Vec<f64> { xs.to_vec() }\n";
+        assert!(lint_source("crates/core/src/selector/qbc.rs", scorer).is_empty());
     }
 
     #[test]

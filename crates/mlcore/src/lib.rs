@@ -52,6 +52,17 @@ pub trait Classifier {
         1.0 / (1.0 + (-self.decision_value(x)).exp())
     }
 
+    /// Decision values on each of `rows`, in order. The default calls
+    /// [`Classifier::decision_value`] per row; [`svm::LinearSvm`]
+    /// overrides it with the blocked kernel of [`linalg::panel`], which
+    /// gives the same bits.
+    fn decision_values<'a>(&self, rows: impl IntoIterator<Item = &'a [f64]>) -> Vec<f64>
+    where
+        Self: Sized,
+    {
+        rows.into_iter().map(|x| self.decision_value(x)).collect()
+    }
+
     /// Votes of a committee on each of `rows`: how many members
     /// [`Classifier::predict`] a match. The default asks every member
     /// about every row; [`svm::LinearSvm`] overrides it with the blocked
@@ -86,6 +97,16 @@ mod tests {
         assert!(Stub(0.1).predict(&[]));
         assert!(!Stub(-0.1).predict(&[]));
         assert!(!Stub(0.0).predict(&[]));
+    }
+
+    #[test]
+    fn default_decision_values_map_decision_value() {
+        let rows = [[0.0], [1.0]];
+        assert_eq!(
+            Stub(0.5).decision_values(rows.iter().map(|r| &r[..])),
+            vec![0.5, 0.5]
+        );
+        assert!(Stub(0.5).decision_values([]).is_empty());
     }
 
     #[test]

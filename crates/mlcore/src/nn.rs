@@ -64,13 +64,6 @@ pub struct NeuralNet {
 }
 
 impl NeuralNet {
-    /// The affine output before the sigmoid — the paper's margin for
-    /// non-convex classifiers (§4.2.2). Ambiguous examples have margin
-    /// near 0 (equivalently, probability near 0.5).
-    pub fn margin(&self, x: &[f64]) -> f64 {
-        self.forward_inference(x)
-    }
-
     fn forward_inference(&self, x: &[f64]) -> f64 {
         let mut hidden = self.w1.matvec(x);
         for (h, b) in hidden.iter_mut().zip(&self.b1) {
@@ -86,6 +79,9 @@ impl NeuralNet {
 }
 
 impl Classifier for NeuralNet {
+    /// The affine output before the sigmoid — the paper's margin for
+    /// non-convex classifiers (§4.2.2). Ambiguous examples have margin
+    /// near 0 (equivalently, probability near 0.5).
     fn decision_value(&self, x: &[f64]) -> f64 {
         self.forward_inference(x)
     }
@@ -372,7 +368,7 @@ mod tests {
         let set = TrainSet::new(&xs, &ys);
         let net = NnConfig::default().train(&set, &mut StdRng::seed_from_u64(3));
         for x in xs.iter().take(10) {
-            let m = net.margin(x);
+            let m = net.decision_value(x);
             let p = net.positive_probability(x);
             let expect = 1.0 / (1.0 + (-m).exp());
             assert!((p - expect).abs() < 1e-12);
@@ -390,7 +386,7 @@ mod tests {
         let a = cfg.train(&set, &mut StdRng::seed_from_u64(77));
         let b = cfg.train(&set, &mut StdRng::seed_from_u64(77));
         for (x, _) in xs.iter().zip(&ys).take(20) {
-            assert_eq!(a.margin(x), b.margin(x));
+            assert_eq!(a.decision_value(x), b.decision_value(x));
         }
     }
 
@@ -400,6 +396,6 @@ mod tests {
         let ys: Vec<bool> = vec![];
         let set = TrainSet::new(&xs, &ys);
         let net = NnConfig::default().train(&set, &mut StdRng::seed_from_u64(1));
-        let _ = net.margin(&[]);
+        let _ = net.decision_value(&[]);
     }
 }

@@ -358,6 +358,12 @@ impl Classifier for LinearSvm {
         dot(&self.weights, x) + self.bias
     }
 
+    fn decision_values<'a>(&self, rows: impl IntoIterator<Item = &'a [f64]>) -> Vec<f64> {
+        let mut values = Vec::new();
+        LinearSvm::panel(std::slice::from_ref(self)).eval(rows, |v| values.extend_from_slice(v));
+        values
+    }
+
     fn committee_votes<'a>(
         committee: &[Self],
         rows: impl IntoIterator<Item = &'a [f64]>,
@@ -387,9 +393,10 @@ mod tests {
         }
     }
 
-    /// `k` models on `n` rows of `dim` features through the panel kernel
-    /// and through `committee_votes`: every value has the bits of
-    /// `decision_value`, every vote count matches `predict`. Every third
+    /// `k` models on `n` rows of `dim` features through the panel kernel,
+    /// `committee_votes` and each model's `decision_values`: every value
+    /// has the bits of `decision_value`, every vote count matches
+    /// `predict`. Every third
     /// model has only negative weights and a `-0.0` bias, and every third
     /// row only signed zeros, so a chain that started at `+0.0` would
     /// show.
@@ -435,6 +442,14 @@ mod tests {
             LinearSvm::committee_votes(&committee, rows.iter().map(Vec::as_slice)),
             votes
         );
+        let bits = |vs: Vec<f64>| vs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for m in &committee {
+            let want = bits(rows.iter().map(|x| m.decision_value(x)).collect());
+            assert_eq!(
+                bits(m.decision_values(rows.iter().map(Vec::as_slice))),
+                want
+            );
+        }
     }
 
     proptest! {

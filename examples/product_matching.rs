@@ -60,7 +60,7 @@ fn main() {
         ),
         run_one(
             &corpus,
-            EnsembleSvmStrategy::new(SvmTrainer::default(), 0.85),
+            ActiveEnsembleStrategy::new(SvmTrainer::default(), 0.85),
             noise,
         ),
     ];

@@ -3,7 +3,7 @@
 
 use alem_core::blocking::BlockingConfig;
 use alem_core::corpus::Corpus;
-use alem_core::ensemble::EnsembleSvmStrategy;
+use alem_core::ensemble::ActiveEnsembleStrategy;
 use alem_core::learner::{DnfTrainer, NnTrainer, SvmTrainer};
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
 use alem_core::oracle::Oracle;
@@ -82,7 +82,7 @@ fn ensemble_svm_end_to_end() {
     let corpus = easy_corpus();
     let f1 = run(
         &corpus,
-        EnsembleSvmStrategy::new(SvmTrainer::default(), 0.85),
+        ActiveEnsembleStrategy::new(SvmTrainer::default(), 0.85),
         400,
     );
     assert!(f1 > 0.8, "Linear-Margin(Ensemble) best F1 {f1}");

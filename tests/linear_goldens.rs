@@ -4,17 +4,27 @@
 //! (one serial dot product per decision value, one Pegasos run per
 //! committee member over its own copied bootstrap rows). The blocked
 //! kernels must reproduce them bit for bit, at any thread count.
+//!
+//! The [`Pin`]s extend this to every `Strategy` implementation and
+//! builder mode, so a refactor of the selection layer shows any change
+//! in what a session labels or how a pool scores.
 
 use alem_core::blocking::BlockingConfig;
 use alem_core::corpus::Corpus;
-use alem_core::learner::SvmTrainer;
+use alem_core::ensemble::ActiveEnsembleStrategy;
+use alem_core::learner::{DnfTrainer, NnTrainer, SvmTrainer};
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
 use alem_core::oracle::Oracle;
+use alem_core::selector::iwal::IwalConfig;
 use alem_core::session::SessionConfig;
-use alem_core::strategy::{MarginSvmStrategy, QbcStrategy, Strategy};
+use alem_core::strategy::{
+    IwalSvmStrategy, LfpLfnStrategy, LshMarginStrategy, MarginNnStrategy, MarginSvmStrategy,
+    QbcStrategy, RandomStrategy, Strategy, TreeQbcStrategy,
+};
 use alem_obs::Registry;
 use alem_par::Parallelism;
 use datagen::PaperDataset;
+use mlcore::svm::SvmConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -113,4 +123,217 @@ fn qbc_and_margin_score_pool_bits_are_pinned() {
         assert_eq!(q, QBC_SCORES_DIGEST, "QBC, threads={threads}");
         assert_eq!(m, MARGIN_SCORES_DIGEST, "margin, threads={threads}");
     }
+}
+
+/// One strategy configuration, its label budget, and its digests at
+/// threads 1 and 3 (equal, since every strategy is thread-count
+/// invariant): the session fingerprint on [`corpus`] with session seed 5,
+/// and the bits of `score_pool` after one fit and select on every fourth
+/// example. Recorded before the selection layer shared one margin scorer,
+/// one active ensemble and one top-k `select`.
+struct Pin {
+    label: &'static str,
+    build: fn() -> Box<dyn Strategy + Send>,
+    max_labels: usize,
+    session: u64,
+    scores: u64,
+}
+
+/// The neural nets train slowly in debug builds, so their sessions stop
+/// after four rounds.
+const NN_LABELS: usize = 60;
+
+fn pins_trees_and_margins() -> Vec<Pin> {
+    vec![
+        Pin {
+            label: "Trees(10)",
+            build: || Box::new(TreeQbcStrategy::new(10)),
+            max_labels: 140,
+            session: 0xf7cd_4020_eed4_509a,
+            scores: 0x4847_428d_ec50_94b5,
+        },
+        Pin {
+            label: "Trees(10), refresh_frac(0.3)",
+            build: || {
+                Box::new(
+                    TreeQbcStrategy::builder()
+                        .trees(10)
+                        .refresh_frac(0.3)
+                        .build(),
+                )
+            },
+            max_labels: 140,
+            session: 0x2185_19b3_a16e_e428,
+            scores: 0x4847_428d_ec50_94b5,
+        },
+        Pin {
+            label: "Linear-Margin",
+            build: || Box::new(MarginSvmStrategy::builder().build()),
+            max_labels: 140,
+            session: 0xa3dd_b045_f7f4_e376,
+            scores: 0x59de_0b09_e36c_6b72,
+        },
+        Pin {
+            label: "Linear-Margin(1Dim)",
+            build: || Box::new(MarginSvmStrategy::builder().blocking_dims(1).build()),
+            max_labels: 140,
+            session: 0xbb91_8e27_dec1_7dc8,
+            scores: 0x164b_d29b_6f23_a1e5,
+        },
+        Pin {
+            label: "Linear-Margin, lazy_topk(8).warm_start()",
+            build: || {
+                Box::new(
+                    MarginSvmStrategy::builder()
+                        .lazy_topk(8)
+                        .warm_start()
+                        .build(),
+                )
+            },
+            max_labels: 140,
+            session: 0xf7ae_2bbe_cce5_801e,
+            scores: 0x59de_0b09_e36c_6b72,
+        },
+        Pin {
+            label: "Linear-Margin(LSH16)",
+            build: || Box::new(LshMarginStrategy::new(SvmTrainer::default(), 16, 4)),
+            max_labels: 140,
+            session: 0x5236_5654_8b28_7096,
+            scores: 0x59de_0b09_e36c_6b72,
+        },
+        Pin {
+            label: "Linear-Margin(Ensemble)",
+            build: || Box::new(ActiveEnsembleStrategy::new(SvmTrainer::default(), 0.85)),
+            max_labels: 140,
+            session: 0xaadd_8aab_0e18_c763,
+            scores: 0x59de_0b09_e36c_6b72,
+        },
+    ]
+}
+
+fn pins_nets() -> Vec<Pin> {
+    vec![
+        Pin {
+            label: "NN-Margin",
+            build: || Box::new(MarginNnStrategy::new(NnTrainer::default())),
+            max_labels: NN_LABELS,
+            session: 0xd30a_367a_a336_5d75,
+            scores: 0x12a7_a030_c8d2_2f28,
+        },
+        Pin {
+            label: "Non-Convex Non-Linear-Margin(Ensemble)",
+            build: || Box::new(ActiveEnsembleStrategy::new(NnTrainer::default(), 0.85)),
+            max_labels: NN_LABELS,
+            session: 0xd108_748c_e62a_dcaf,
+            scores: 0x12a7_a030_c8d2_2f28,
+        },
+        Pin {
+            label: "Non-Convex Non-Linear-QBC(2)",
+            build: || {
+                Box::new(
+                    QbcStrategy::builder(NnTrainer::default())
+                        .committee_size(2)
+                        .build(),
+                )
+            },
+            max_labels: NN_LABELS,
+            session: 0x48d4_88a5_ac13_39f6,
+            scores: 0x3542_2215_f678_ebc5,
+        },
+    ]
+}
+
+fn pins_rules_and_baselines() -> Vec<Pin> {
+    vec![
+        Pin {
+            label: "Rules-QBC(5), Boolean features",
+            build: || {
+                Box::new(
+                    QbcStrategy::builder(DnfTrainer::default())
+                        .committee_size(5)
+                        .bool_features(true)
+                        .build(),
+                )
+            },
+            max_labels: 140,
+            session: 0xf408_e1b6_5695_ecb9,
+            scores: 0x68b7_8dd6_a77e_adab,
+        },
+        Pin {
+            label: "Rules(LFP/LFN)",
+            build: || Box::new(LfpLfnStrategy::new(DnfTrainer::default(), 0.85)),
+            max_labels: 140,
+            session: 0x8bfa_e50e_fb70_ba64,
+            scores: 0xa12d_3436_6da9_74f6,
+        },
+        Pin {
+            label: "Random",
+            build: || Box::new(RandomStrategy::new(SvmTrainer::default(), "Random")),
+            max_labels: 140,
+            session: 0xc95a_84aa_0419_464c,
+            scores: 0x8492_e564_8419_dd45,
+        },
+        Pin {
+            label: "Linear-IWAL",
+            build: || {
+                Box::new(IwalSvmStrategy::new(
+                    SvmConfig::default(),
+                    IwalConfig::default(),
+                ))
+            },
+            max_labels: 140,
+            session: 0x11d5_9acc_fdc7_f38d,
+            scores: 0x8492_e564_8419_dd45,
+        },
+    ]
+}
+
+/// Check every pin at threads 1 and 3; on a mismatch, fail with the
+/// digests of the whole group.
+fn check_pins(pins: &[Pin]) {
+    let c = corpus();
+    let oracle = Oracle::perfect(c.truths().to_vec());
+    let mut report = String::new();
+    let mut failed = false;
+    for pin in pins {
+        for threads in [1, 3] {
+            let config = SessionConfig {
+                parallelism: Parallelism::fixed(threads),
+                ..SessionConfig::default()
+            };
+            let params = LoopParams {
+                max_labels: pin.max_labels,
+                ..params()
+            };
+            let fp = ActiveLearner::new((pin.build)(), params)
+                .run_session(&c, &oracle, 5, &config)
+                .expect("session")
+                .run_result()
+                .expect("session finished")
+                .deterministic_fingerprint();
+            let session = fnv(fp.bytes());
+            let scores = score_bits((pin.build)(), &c, threads);
+            failed |= session != pin.session || scores != pin.scores;
+            report.push_str(&format!(
+                "{} (threads {threads}): session {session:#018x}, scores {scores:#018x}\n",
+                pin.label
+            ));
+        }
+    }
+    assert!(!failed, "pinned digests changed:\n{report}");
+}
+
+#[test]
+fn tree_and_linear_margin_strategies_are_pinned() {
+    check_pins(&pins_trees_and_margins());
+}
+
+#[test]
+fn neural_net_strategies_are_pinned() {
+    check_pins(&pins_nets());
+}
+
+#[test]
+fn rule_and_baseline_strategies_are_pinned() {
+    check_pins(&pins_rules_and_baselines());
 }

@@ -178,15 +178,15 @@ proptest! {
         let svm = LinearSvm::from_parts(vec![1.3], -0.1);
         let unlabeled: Vec<usize> = (0..n).collect();
 
-        let seq = selector::margin::score_pool_linear(
+        let seq = selector::margin::score_pool(
             &svm, &c, &unlabeled, &Parallelism::sequential());
-        let par = selector::margin::score_pool_linear(
+        let par = selector::margin::score_pool(
             &svm, &c, &unlabeled, &Parallelism::fixed(threads));
         prop_assert_eq!(&seq, &par);
 
         let pick = |p: &Parallelism| {
             let mut rng = StdRng::seed_from_u64(seed);
-            selector::margin::select_linear(
+            selector::margin::select(
                 &svm, &c, &unlabeled, batch, &mut rng,
                 &alem_obs::Registry::disabled(), p,
             ).chosen

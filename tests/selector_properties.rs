@@ -4,6 +4,7 @@ use alem_core::corpus::Corpus;
 use alem_core::learner::SvmTrainer;
 use alem_core::oracle::Oracle;
 use alem_core::selector::{bottom_k_asc, qbc, top_k_desc};
+use alem_core::strategy::{QbcStrategy, Strategy};
 use mlcore::svm::LinearSvm;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -72,9 +73,8 @@ proptest! {
         let unlabeled: Vec<usize> =
             (0..n).filter(|i| i % 4 != 0).collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let (sel, _committee) = qbc::select(
-            &SvmTrainer::default(), 3, &corpus, &labeled, &unlabeled, batch, &mut rng, false,
-            &alem_obs::Registry::disabled(), &alem_par::Parallelism::sequential(),
+        let sel = QbcStrategy::new(SvmTrainer::default(), 3).select(
+            &corpus, &labeled, &unlabeled, batch, &mut rng, &alem_obs::Registry::disabled(),
         );
         prop_assert!(sel.chosen.len() <= batch);
         let mut sorted = sel.chosen.clone();
