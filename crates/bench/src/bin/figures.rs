@@ -4,8 +4,10 @@
 //! figures <experiment> [--scale S] [--seeds N] [--json PATH] [--points K]
 //!
 //! experiments:
-//!   table1 table2 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 fig16
-//!   fig17 fig18 fig19 rules-abtbuy fault-sweep latency-breakdown ablations all
+//!   table1 table2 fig8 fig9 fig10 fig11 fig12 fig13 fig12_13 fig14 fig15
+//!   fig16 fig17 fig18 fig19 rules-abtbuy ext-ensemble-nn ext-lsh ext-iwal
+//!   ext-voting extensions fault-sweep latency-breakdown ablation-tau
+//!   ablation-batch ablation-features ablations all
 //! ```
 //!
 //! `--scale` sets the synthetic corpus scale (default 0.25; 1.0 ≈ paper
@@ -26,9 +28,10 @@ struct Dump {
 fn usage() -> ! {
     eprintln!(
         "usage: figures <experiment> [--scale S] [--seeds N] [--json PATH] [--points K]\n\
-         experiments: table1 table2 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15\n\
-         \x20           fig16 fig17 fig18 fig19 rules-abtbuy fault-sweep latency-breakdown\n\
-         \x20           ablations all"
+         experiments: table1 table2 fig8 fig9 fig10 fig11 fig12 fig13 fig12_13 fig14\n\
+         \x20           fig15 fig16 fig17 fig18 fig19 rules-abtbuy ext-ensemble-nn ext-lsh\n\
+         \x20           ext-iwal ext-voting extensions fault-sweep latency-breakdown\n\
+         \x20           ablation-tau ablation-batch ablation-features ablations all"
     );
     std::process::exit(2);
 }

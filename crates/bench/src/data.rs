@@ -1,11 +1,14 @@
 //! Corpus construction for the benchmark harness: generate a synthetic
-//! dataset, block it, and featurize the candidate pairs in parallel.
+//! dataset, block it, and featurize the candidate pairs through
+//! [`Corpus::from_candidates_with`].
 
 use alem_core::blocking::{stats, BlockingConfig, BlockingStats};
 use alem_core::corpus::Corpus;
 use alem_core::features::FeatureExtractor;
 use alem_core::schema::EmDataset;
+use alem_par::Parallelism;
 use datagen::PaperDataset;
+use std::sync::Arc;
 
 /// Fixed generation seed so every experiment sees the same corpora.
 pub const DATA_SEED: u64 = 20200614; // SIGMOD'20 opening day
@@ -15,36 +18,25 @@ pub struct PreparedData {
     /// The featurized post-blocking pair universe.
     pub corpus: Corpus,
     /// The extractor (for feature descriptions in interpretability output).
-    pub extractor: FeatureExtractor,
+    pub extractor: Arc<FeatureExtractor>,
     /// Blocking statistics (Table 1 row).
     pub stats: BlockingStats,
 }
 
-/// Featurize `pairs` across the machine's cores (rows merge in pair
-/// order, so the output is identical to a sequential extraction).
-fn extract_parallel(fx: &FeatureExtractor, pairs: &[alem_core::schema::Pair]) -> Vec<Vec<f64>> {
-    fx.extract_all_with(pairs, &alem_par::Parallelism::default())
-}
-
 /// Build a corpus for a generated dataset with its configured blocking
-/// threshold.
+/// threshold, featurizing across the machine's cores.
 pub fn prepare_dataset(ds: &EmDataset, blocking_threshold: f64) -> PreparedData {
     let blocking = BlockingConfig {
         jaccard_threshold: blocking_threshold,
     };
-    let pairs = blocking.block(ds);
-    let fx = FeatureExtractor::new(ds);
-    let features = extract_parallel(&fx, &pairs);
-    let bools = fx.booleanize_all(&features);
-    let truth: Vec<bool> = pairs.iter().map(|&p| ds.is_match(p)).collect();
-    let blocking_stats = stats(ds, &pairs);
-    let corpus = Corpus::from_features(features, truth).with_bool_features(bools);
-    // Preserve the dataset name lost by `from_features`.
-    let corpus = corpus.with_name(&ds.name);
+    let (corpus, extractor) = Corpus::from_candidates_with(ds, &blocking, &Parallelism::default())
+        // alem-lint: allow(panic-reach) -- the Jaccard filter cannot fail; a failed build is a harness bug
+        .unwrap_or_else(|e| panic!("corpus build failed: {e}"));
+    let pairs: Vec<_> = (0..corpus.len()).map(|i| corpus.pair(i)).collect();
     PreparedData {
+        stats: stats(ds, &pairs),
         corpus,
-        extractor: fx,
-        stats: blocking_stats,
+        extractor,
     }
 }
 
@@ -76,10 +68,15 @@ mod tests {
         let blocking = BlockingConfig {
             jaccard_threshold: cfg.blocking_threshold,
         };
-        let pairs = blocking.block(&ds);
-        let fx = FeatureExtractor::new(&ds);
-        let serial = fx.extract_all(&pairs);
-        let parallel = extract_parallel(&fx, &pairs);
-        assert_eq!(serial, parallel);
+        let build = |par: &Parallelism| {
+            Corpus::from_candidates_with(&ds, &blocking, par)
+                .expect("blocking succeeds")
+                .0
+                .content_fingerprint()
+        };
+        assert_eq!(
+            build(&Parallelism::sequential()),
+            build(&Parallelism::fixed(3))
+        );
     }
 }

@@ -1143,6 +1143,9 @@ pub fn fault_sweep(cfg: ExpConfig) -> TableReport {
 /// data behind Figs. 10–13, but sourced from the `alem-obs` span stream
 /// instead of the loop's own `IterationStats`: committee-build, scoring
 /// (incl. LSH index builds), training, and oracle wait, in milliseconds.
+/// The strategies span the committee-size axis (Linear-QBC 2/10/20,
+/// Trees(20)), the blocking-dimension axis (margin over 1/3/8/all dims,
+/// LSH) and the training axis (SVM, forest, NN, rules).
 pub fn latency_breakdown(cfg: ExpConfig) -> TableReport {
     use alem_obs::{EventKind, Registry};
     let p = prepare(PaperDataset::DblpAcm, cfg.scale);
@@ -1150,9 +1153,16 @@ pub fn latency_breakdown(cfg: ExpConfig) -> TableReport {
     let max_labels = corpus.len().min(600);
     let specs = [
         Spec::TreeQbc(20),
+        Spec::QbcSvm(2),
         Spec::QbcSvm(10),
+        Spec::QbcSvm(20),
         Spec::MarginSvm,
         Spec::MarginSvmBlocking(1),
+        Spec::MarginSvmBlocking(3),
+        Spec::MarginSvmBlocking(8),
+        Spec::LshMargin(16),
+        Spec::MarginNn,
+        Spec::Rules,
     ];
     let jobs: Vec<_> = specs
         .iter()
@@ -1226,8 +1236,9 @@ pub fn latency_breakdown(cfg: ExpConfig) -> TableReport {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5) — quality side; latency ablations are Criterion
-// benches under benches/.
+// Ablations (DESIGN.md §5) — quality side; the latency ablations
+// (committee size, blocking dims K, training time) are rows of
+// `latency_breakdown`.
 // ---------------------------------------------------------------------------
 
 /// Ablation: active-ensemble precision threshold τ. The paper fixes τ at

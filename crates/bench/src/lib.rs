@@ -10,8 +10,9 @@
 //! ```
 //!
 //! `--scale` shrinks the synthetic corpora (1.0 ≈ paper sizes; the default
-//! 0.25 reproduces every shape in minutes). Criterion micro-benchmarks for
-//! selection latency and the ablation studies live under `benches/`.
+//! 0.25 reproduces every shape in minutes). `figures latency-breakdown`
+//! is the selection-latency and training-time table, built from telemetry
+//! spans; `benches/obs_overhead.rs` gates telemetry overhead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -148,16 +148,10 @@ impl FeatureExtractor {
         out
     }
 
-    /// Continuous feature matrix for a pair list.
-    // alem-lint: allow(flat-feature-store) -- extraction seam; rows are flattened into FeatureStore by the corpus builders
-    pub fn extract_all(&self, pairs: &[Pair]) -> Vec<Vec<f64>> {
-        pairs.iter().map(|&p| self.extract_pair(p)).collect()
-    }
-
-    /// [`FeatureExtractor::extract_all`] fanned out over worker threads.
-    /// Rows come back in pair order regardless of thread count, so the
-    /// resulting corpus (and every fingerprint downstream of it) is
-    /// identical to the sequential build.
+    /// Continuous feature matrix for a pair list, fanned out over worker
+    /// threads. Rows come back in pair order regardless of thread count,
+    /// so the resulting corpus (and every fingerprint downstream of it)
+    /// is identical to the sequential build.
     // alem-lint: allow(flat-feature-store) -- extraction seam; rows are flattened into FeatureStore by the corpus builders
     pub fn extract_all_with(&self, pairs: &[Pair], par: &alem_par::Parallelism) -> Vec<Vec<f64>> {
         par.map(pairs, |&p| self.extract_pair(p))
@@ -165,10 +159,8 @@ impl FeatureExtractor {
 
     /// Compute a *single* continuous feature dimension on demand.
     ///
-    /// This is what makes the §5.1 blocking optimization pay off in its
-    /// original setting: checking the one blocking dimension costs one
-    /// similarity computation instead of building the full 21×#attrs
-    /// vector (see the `lazy_blocking` bench).
+    /// The lazy feature store's single-cell reads land here: one
+    /// similarity computation instead of the full 21×#attrs vector.
     pub fn compute_dim(&self, pair: Pair, dim: usize) -> f64 {
         let n_sims = SimilarityFunction::ALL.len();
         let attr = dim / n_sims;
@@ -176,13 +168,6 @@ impl FeatureExtractor {
         let l = &self.left[pair.0 as usize][attr];
         let r = &self.right[pair.1 as usize][attr];
         sim.compute_prepared(l, r)
-    }
-
-    /// Partial extraction: compute only the selected dimensions, in the
-    /// given order. Each entry matches [`FeatureExtractor::compute_dim`]
-    /// (and therefore the full row) bit-for-bit.
-    pub fn extract_dims(&self, pair: Pair, dims: &[usize]) -> Vec<f64> {
-        dims.iter().map(|&d| self.compute_dim(pair, d)).collect()
     }
 
     /// [`FeatureExtractor::compute_dim`] batched: compute `dims` for one
@@ -212,26 +197,6 @@ impl FeatureExtractor {
                 k += 1;
             }
         }
-    }
-
-    /// Phase 1 of two-phase lazy extraction: compute the `k`
-    /// highest-`|weight|` dimensions only, returning `(dim, value)` pairs
-    /// in descending `|weight|` order (ties broken by dimension index,
-    /// matching `LinearSvm::top_weight_dims`). The caller decides from
-    /// these partial sums whether the pair survives into phase 2 — full
-    /// materialization via [`FeatureExtractor::extract_pair`].
-    pub fn extract_topk(&self, pair: Pair, weights: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut dims: Vec<usize> = (0..weights.len().min(self.dim())).collect();
-        dims.sort_by(|&a, &b| {
-            weights[b]
-                .abs()
-                .partial_cmp(&weights[a].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        dims.truncate(k);
-        dims.into_iter()
-            .map(|d| (d, self.compute_dim(pair, d)))
-            .collect()
     }
 
     /// Number of Boolean rule-predicate dimensions
@@ -279,12 +244,6 @@ impl FeatureExtractor {
             }
         }
         out
-    }
-
-    /// Boolean predicate matrix for a whole continuous feature matrix.
-    // alem-lint: allow(flat-feature-store) -- predicate rows feed Corpus::bool_features' memo cell, not the hot scoring path
-    pub fn booleanize_all(&self, continuous: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        continuous.iter().map(|row| self.booleanize(row)).collect()
     }
 }
 
@@ -352,34 +311,6 @@ mod tests {
         let full = fx.extract_pair((0, 0));
         for (d, &v) in full.iter().enumerate() {
             assert_eq!(fx.compute_dim((0, 0), d), v, "dim {d}");
-        }
-    }
-
-    #[test]
-    fn extract_dims_matches_full_extraction() {
-        let fx = FeatureExtractor::new(&toy());
-        let full = fx.extract_pair((0, 0));
-        let dims = [7, 0, 33, 21];
-        let partial = fx.extract_dims((0, 0), &dims);
-        for (j, &d) in dims.iter().enumerate() {
-            assert_eq!(partial[j].to_bits(), full[d].to_bits(), "dim {d}");
-        }
-    }
-
-    #[test]
-    fn extract_topk_orders_by_weight_magnitude() {
-        let fx = FeatureExtractor::new(&toy());
-        let mut weights = vec![0.0; fx.dim()];
-        weights[5] = -3.0;
-        weights[30] = 2.0;
-        weights[11] = 0.5;
-        let full = fx.extract_pair((0, 0));
-        let top = fx.extract_topk((0, 0), &weights, 2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].0, 5);
-        assert_eq!(top[1].0, 30);
-        for &(d, v) in &top {
-            assert_eq!(v.to_bits(), full[d].to_bits());
         }
     }
 

@@ -245,15 +245,6 @@ impl FeatureStore {
         }
     }
 
-    /// The memoized row for `i` if it has been materialized (always
-    /// `Some` on the eager backing). Never counts cache traffic.
-    pub fn peek_row(&self, i: usize) -> Option<&[f64]> {
-        match &self.backing {
-            Backing::Eager { flat } => Some(&flat[i * self.dim..(i + 1) * self.dim]),
-            Backing::Lazy { rows, .. } => rows[i].get().map(|r| &**r),
-        }
-    }
-
     /// Partial cells memoized so far on never-materialized rows (eager
     /// stores: always 0). Each counted cell is one single-similarity
     /// computation that recurring phase-1 scans no longer repeat.
@@ -462,14 +453,6 @@ impl DimsView<'_> {
         &self.dims
     }
 
-    /// Gather the selected dimensions of row `i` in view order.
-    pub fn gather(&self, i: usize) -> Vec<f64> {
-        self.dims
-            .iter()
-            .map(|&d| self.store.dim_value(i, d))
-            .collect()
-    }
-
     /// Weighted sum `Σ_j weights[j] · x[dims[j]]` for row `i`; `weights`
     /// aligns with [`DimsView::dims`]. Summation order is the view order,
     /// independent of backing, so lazy and eager agree bit-for-bit.
@@ -536,7 +519,9 @@ mod tests {
     #[test]
     fn lazy_rows_match_eager_bit_for_bit() {
         let (fx, pairs) = toy_fx();
-        let eager = FeatureStore::from_rows(fx.extract_all(&pairs));
+        let eager = FeatureStore::from_rows(
+            fx.extract_all_with(&pairs, &alem_par::Parallelism::sequential()),
+        );
         let lazy = FeatureStore::lazy(Arc::clone(&fx), pairs.clone());
         assert_eq!(lazy.len(), eager.len());
         assert_eq!(lazy.dim(), eager.dim());
@@ -566,8 +551,6 @@ mod tests {
         assert_eq!(store.cache_misses(), 2);
         assert_eq!(store.cache_hits(), 1);
         assert_eq!(store.materialized_rows(), 2);
-        assert_eq!(store.peek_row(1), None);
-        assert!(store.peek_row(0).is_some());
     }
 
     #[test]
@@ -584,7 +567,6 @@ mod tests {
                 .map(|(j, &d)| weights[j] * fx.compute_dim(pair, d))
                 .sum();
             assert_eq!(view.weighted_sum(i, &weights).to_bits(), expect.to_bits());
-            assert_eq!(view.gather(i).len(), 3);
         }
         // The view alone must not have materialized anything.
         assert_eq!(store.materialized_rows(), 0);
