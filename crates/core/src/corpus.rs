@@ -73,7 +73,7 @@ impl Corpus {
         par: &alem_par::Parallelism,
     ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
         let pairs = source.collect_pairs(ds)?;
-        Ok(Corpus::from_pairs_eager(ds, pairs, par))
+        Corpus::from_pairs_eager(ds, pairs, par)
     }
 
     /// Fully lazy corpus from any [`CandidateSource`]: candidate pairs
@@ -88,7 +88,7 @@ impl Corpus {
         _par: &alem_par::Parallelism,
     ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
         let pairs = source.collect_pairs(ds)?;
-        Ok(Corpus::from_pairs_lazy(ds, pairs))
+        Corpus::from_pairs_lazy(ds, pairs)
     }
 
     /// Eagerly featurized corpus over an already-materialized pair list.
@@ -96,11 +96,11 @@ impl Corpus {
         ds: &EmDataset,
         pairs: Vec<Pair>,
         par: &alem_par::Parallelism,
-    ) -> (Self, Arc<FeatureExtractor>) {
-        let fx = Arc::new(FeatureExtractor::new(ds));
+    ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
+        let fx = Arc::new(FeatureExtractor::new(ds)?);
         let store = FeatureStore::from_rows(fx.extract_all_with(&pairs, par));
         let truth = pairs.iter().map(|&p| ds.is_match(p)).collect();
-        (
+        Ok((
             Corpus {
                 name: ds.name.clone(),
                 pairs,
@@ -113,15 +113,18 @@ impl Corpus {
                 bounded01: true,
             },
             fx,
-        )
+        ))
     }
 
     /// Lazily featurized corpus over an already-materialized pair list.
-    fn from_pairs_lazy(ds: &EmDataset, pairs: Vec<Pair>) -> (Self, Arc<FeatureExtractor>) {
-        let fx = Arc::new(FeatureExtractor::new(ds));
+    fn from_pairs_lazy(
+        ds: &EmDataset,
+        pairs: Vec<Pair>,
+    ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
+        let fx = Arc::new(FeatureExtractor::new(ds)?);
         let store = FeatureStore::lazy(Arc::clone(&fx), pairs.clone());
         let truth = pairs.iter().map(|&p| ds.is_match(p)).collect();
-        (
+        Ok((
             Corpus {
                 name: ds.name.clone(),
                 pairs,
@@ -134,7 +137,7 @@ impl Corpus {
                 bounded01: true,
             },
             fx,
-        )
+        ))
     }
 
     /// Build a corpus directly from feature vectors and labels (tests,

@@ -7,13 +7,16 @@
 //! features: the 3 supported functions (equality, Jaro-Winkler, Jaccard)
 //! evaluated against thresholds 0.1..1.0.
 //!
-//! The extractor pre-tokenizes every attribute value once
+//! The extractor pre-tokenizes every distinct attribute value once
 //! ([`textsim::Prepared`]) so evaluating 21 measures per pair doesn't re-do
-//! tokenization.
+//! tokenization, and scores through one [`textsim::Scratch`] per worker so
+//! the kernels do not allocate per cell.
 
+use crate::error::AlemError;
 use crate::schema::{EmDataset, Pair, Table};
+use std::collections::HashMap;
 use std::fmt;
-use textsim::{Prepared, SimilarityFunction};
+use textsim::{Prepared, Scratch, SimilarityFunction};
 
 /// The discrete thresholds rule predicates are evaluated on (paper §3:
 /// "a discrete set of thresholds in (0,1] ... with τ from 0.1 to 1.0").
@@ -68,41 +71,71 @@ impl fmt::Display for BoolFeatureDesc {
 }
 
 /// Pre-tokenized feature extractor over a dataset's two tables.
+///
+/// Cells that hold the same raw string share one [`Prepared`] value:
+/// `Prepared::new` is a pure function of the raw string, so interning is
+/// exact, and most cells of a real table repeat a value.
 pub struct FeatureExtractor {
     attr_names: Vec<String>,
-    left: Vec<Vec<Prepared>>,  // [record][attr]
-    right: Vec<Vec<Prepared>>, // [record][attr]
+    /// One prepared view per distinct raw value of either table.
+    values: Vec<Prepared>,
+    /// `values` index of each cell, `[record * #attrs + attr]`.
+    left: Vec<usize>,
+    right: Vec<usize>,
 }
 
 impl fmt::Debug for FeatureExtractor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let n_attrs = self.attr_names.len().max(1);
         f.debug_struct("FeatureExtractor")
             .field("attrs", &self.attr_names)
-            .field("left_records", &self.left.len())
-            .field("right_records", &self.right.len())
+            .field("left_records", &(self.left.len() / n_attrs))
+            .field("right_records", &(self.right.len() / n_attrs))
+            .field("distinct_values", &self.values.len())
             .finish()
     }
 }
 
-fn prepare_table(table: &Table) -> Vec<Vec<Prepared>> {
-    (0..table.len())
-        .map(|i| {
-            (0..table.schema().len())
-                .map(|a| Prepared::new(table.record(i).value(a).unwrap_or("")))
-                .collect()
-        })
-        .collect()
+/// The `values` index of every cell of `table`, interning each distinct
+/// raw value (a missing value is the empty string) on first sight.
+fn intern_table<'t>(
+    table: &'t Table,
+    ids: &mut HashMap<&'t str, usize>,
+    values: &mut Vec<Prepared>,
+) -> Vec<usize> {
+    let mut cells = Vec::with_capacity(table.len() * table.schema().len());
+    for i in 0..table.len() {
+        let record = table.record(i);
+        for a in 0..table.schema().len() {
+            let raw = record.value(a).unwrap_or("");
+            let id = *ids.entry(raw).or_insert_with(|| {
+                values.push(Prepared::new(raw));
+                values.len() - 1
+            });
+            cells.push(id);
+        }
+    }
+    cells
 }
 
 impl FeatureExtractor {
-    /// Tokenize every attribute value of both tables.
-    pub fn new(ds: &EmDataset) -> Self {
-        assert_eq!(
-            ds.left.schema(),
-            ds.right.schema(),
-            "tables must share an aligned schema"
-        );
-        FeatureExtractor {
+    /// Tokenize every distinct attribute value of both tables.
+    ///
+    /// Fails with [`AlemError::InvalidConfig`] when the two tables'
+    /// schemas differ, since features pair attributes by position.
+    pub fn new(ds: &EmDataset) -> Result<Self, AlemError> {
+        if ds.left.schema() != ds.right.schema() {
+            return Err(AlemError::InvalidConfig(format!(
+                "tables {:?} and {:?} must share an aligned schema",
+                ds.left.name(),
+                ds.right.name()
+            )));
+        }
+        let mut ids = HashMap::new();
+        let mut values = Vec::new();
+        let left = intern_table(&ds.left, &mut ids, &mut values);
+        let right = intern_table(&ds.right, &mut ids, &mut values);
+        Ok(FeatureExtractor {
             attr_names: ds
                 .left
                 .schema()
@@ -110,9 +143,41 @@ impl FeatureExtractor {
                 .iter()
                 .map(|a| a.name.clone())
                 .collect(),
-            left: prepare_table(&ds.left),
-            right: prepare_table(&ds.right),
+            values,
+            left,
+            right,
+        })
+    }
+
+    /// Score `dims` of `pair` in the order given, sending each
+    /// `(dim, value)` to `sink`. Every run of dims on one attribute shares
+    /// one [`textsim::PairScorer`]. All feature values come from here.
+    fn score_dims(
+        &self,
+        pair: Pair,
+        dims: impl IntoIterator<Item = usize>,
+        scratch: &mut Scratch,
+        mut sink: impl FnMut(usize, f64),
+    ) {
+        let n_sims = SimilarityFunction::ALL.len();
+        let n_attrs = self.attr_names.len();
+        let l = &self.left[pair.0 as usize * n_attrs..][..n_attrs];
+        let r = &self.right[pair.1 as usize * n_attrs..][..n_attrs];
+        let mut dims = dims.into_iter().peekable();
+        while let Some(&first) = dims.peek() {
+            let attr = first / n_sims;
+            let mut scorer = scratch.pair(&self.values[l[attr]], &self.values[r[attr]]);
+            while let Some(d) = dims.next_if(|&d| d / n_sims == attr) {
+                sink(d, scorer.score(SimilarityFunction::ALL[d % n_sims]));
+            }
         }
+    }
+
+    /// The full feature row of `pair`, scored in `scratch`.
+    fn row_with(&self, pair: Pair, scratch: &mut Scratch) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.dim());
+        self.score_dims(pair, 0..self.dim(), scratch, |_, v| out.push(v));
+        out
     }
 
     /// Number of continuous feature dimensions (21 × #attrs).
@@ -137,24 +202,20 @@ impl FeatureExtractor {
 
     /// Continuous feature vector for one candidate pair.
     pub fn extract_pair(&self, pair: Pair) -> Vec<f64> {
-        let l = &self.left[pair.0 as usize];
-        let r = &self.right[pair.1 as usize];
-        let mut out = Vec::with_capacity(self.dim());
-        for a in 0..self.attr_names.len() {
-            for sim in SimilarityFunction::ALL {
-                out.push(sim.compute_prepared(&l[a], &r[a]));
-            }
-        }
-        out
+        self.row_with(pair, &mut Scratch::default())
     }
 
     /// Continuous feature matrix for a pair list, fanned out over worker
-    /// threads. Rows come back in pair order regardless of thread count,
-    /// so the resulting corpus (and every fingerprint downstream of it)
-    /// is identical to the sequential build.
+    /// threads with one [`Scratch`] per chunk. Rows come back in pair
+    /// order regardless of thread count, so the resulting corpus (and
+    /// every fingerprint downstream of it) is identical to the sequential
+    /// build.
     // alem-lint: allow(flat-feature-store) -- extraction seam; rows are flattened into FeatureStore by the corpus builders
     pub fn extract_all_with(&self, pairs: &[Pair], par: &alem_par::Parallelism) -> Vec<Vec<f64>> {
-        par.map(pairs, |&p| self.extract_pair(p))
+        par.map_chunks(pairs, |chunk| {
+            let mut scratch = Scratch::default();
+            chunk.iter().map(|&p| self.row_with(p, &mut scratch)).collect()
+        })
     }
 
     /// Compute a *single* continuous feature dimension on demand.
@@ -162,41 +223,22 @@ impl FeatureExtractor {
     /// The lazy feature store's single-cell reads land here: one
     /// similarity computation instead of the full 21×#attrs vector.
     pub fn compute_dim(&self, pair: Pair, dim: usize) -> f64 {
-        let n_sims = SimilarityFunction::ALL.len();
-        let attr = dim / n_sims;
-        let sim = SimilarityFunction::ALL[dim % n_sims];
-        let l = &self.left[pair.0 as usize][attr];
-        let r = &self.right[pair.1 as usize][attr];
-        sim.compute_prepared(l, r)
+        let mut value = 0.0;
+        self.score_dims(pair, [dim], &mut Scratch::default(), |_, v| value = v);
+        value
     }
 
     /// [`FeatureExtractor::compute_dim`] batched: compute `dims` for one
-    /// pair, emitting `(dim, value)` through `sink` in `dims` order. The
-    /// per-attribute `Prepared` lookups are hoisted out of the similarity
-    /// loop, so runs of dims sharing an attribute (the common case —
-    /// dims are attr-major) pay for the record indexing once, matching
-    /// [`FeatureExtractor::extract_pair`]'s per-similarity cost instead
-    /// of `compute_dim`'s. Values are bit-identical to `compute_dim`.
+    /// pair, emitting `(dim, value)` through `sink` in `dims` order. Runs
+    /// of dims sharing an attribute (the common case — dims are
+    /// attr-major) share one value-pair lookup and scratch space, as in
+    /// [`FeatureExtractor::extract_pair`]. Values are bit-identical to
+    /// `compute_dim`.
     ///
     /// This is the lazy feature store's batch fill path: sorted dim runs
     /// from phase-1 partial reads and row materialization land here.
-    pub fn compute_dims_with(&self, pair: Pair, dims: &[usize], mut sink: impl FnMut(usize, f64)) {
-        let n_sims = SimilarityFunction::ALL.len();
-        let l = &self.left[pair.0 as usize];
-        let r = &self.right[pair.1 as usize];
-        let mut k = 0;
-        while k < dims.len() {
-            let attr = dims[k] / n_sims;
-            let (la, ra) = (&l[attr], &r[attr]);
-            while k < dims.len() && dims[k] / n_sims == attr {
-                let d = dims[k];
-                sink(
-                    d,
-                    SimilarityFunction::ALL[d % n_sims].compute_prepared(la, ra),
-                );
-                k += 1;
-            }
-        }
+    pub fn compute_dims_with(&self, pair: Pair, dims: &[usize], sink: impl FnMut(usize, f64)) {
+        self.score_dims(pair, dims.iter().copied(), &mut Scratch::default(), sink);
     }
 
     /// Number of Boolean rule-predicate dimensions
@@ -279,8 +321,41 @@ mod tests {
     }
 
     #[test]
+    fn mismatched_schemas_are_an_error() {
+        let mut ds = toy();
+        let other = Schema::new(vec![("title", AttrKind::Text)]);
+        ds.right = Table::new(
+            "r",
+            other,
+            vec![Record::new(vec![Some("apple ipod".into())])],
+        );
+        match FeatureExtractor::new(&ds) {
+            Err(AlemError::InvalidConfig(msg)) => assert!(msg.contains("schema"), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_values_share_one_prepared_view() {
+        let mut ds = toy();
+        // Left record 1's name also appears on the right.
+        ds.right = Table::new(
+            "r",
+            ds.right.schema().clone(),
+            vec![Record::new(vec![Some("sony walkman".into()), Some("149".into())])],
+        );
+        let fx = FeatureExtractor::new(&ds).unwrap();
+        // Six cells, four distinct raw values: "apple ipod nano", "149",
+        // "sony walkman" and the missing price "".
+        assert_eq!(fx.values.len(), 4);
+        assert_eq!(fx.left[2], fx.right[0], "one view for both tables");
+        assert_eq!(fx.left[1], fx.right[1]);
+        assert!(fx.extract_pair((1, 0))[..21].iter().all(|&v| v == 1.0));
+    }
+
+    #[test]
     fn dims_are_21_per_attr() {
-        let fx = FeatureExtractor::new(&toy());
+        let fx = FeatureExtractor::new(&toy()).unwrap();
         assert_eq!(fx.dim(), 42);
         assert_eq!(fx.descriptions().len(), 42);
         assert_eq!(fx.bool_dim(), 60);
@@ -289,7 +364,7 @@ mod tests {
 
     #[test]
     fn matching_pair_scores_higher() {
-        let fx = FeatureExtractor::new(&toy());
+        let fx = FeatureExtractor::new(&toy()).unwrap();
         let m: f64 = fx.extract_pair((0, 0)).iter().sum();
         let n: f64 = fx.extract_pair((0, 1)).iter().sum();
         assert!(m > n, "match {m} vs non-match {n}");
@@ -297,7 +372,7 @@ mod tests {
 
     #[test]
     fn missing_attr_scores_zero() {
-        let fx = FeatureExtractor::new(&toy());
+        let fx = FeatureExtractor::new(&toy()).unwrap();
         let row = fx.extract_pair((1, 0)); // left price is None
                                            // Price dims are the second attribute block.
         for v in &row[21..42] {
@@ -307,7 +382,7 @@ mod tests {
 
     #[test]
     fn compute_dim_matches_full_extraction() {
-        let fx = FeatureExtractor::new(&toy());
+        let fx = FeatureExtractor::new(&toy()).unwrap();
         let full = fx.extract_pair((0, 0));
         for (d, &v) in full.iter().enumerate() {
             assert_eq!(fx.compute_dim((0, 0), d), v, "dim {d}");
@@ -316,7 +391,7 @@ mod tests {
 
     #[test]
     fn booleanize_thresholds() {
-        let fx = FeatureExtractor::new(&toy());
+        let fx = FeatureExtractor::new(&toy()).unwrap();
         let row = fx.extract_pair((0, 0));
         let b = fx.booleanize(&row);
         assert_eq!(b.len(), 60);
@@ -333,7 +408,7 @@ mod tests {
     #[test]
     fn bool_monotone_in_threshold() {
         // If an atom holds at τ it must hold at every smaller τ.
-        let fx = FeatureExtractor::new(&toy());
+        let fx = FeatureExtractor::new(&toy()).unwrap();
         let b = fx.booleanize(&fx.extract_pair((0, 0)));
         let descs = fx.bool_descriptions();
         for w in 0..b.len() - 1 {
@@ -346,7 +421,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let fx = FeatureExtractor::new(&toy());
+        let fx = FeatureExtractor::new(&toy()).unwrap();
         let d = &fx.descriptions()[0];
         assert_eq!(d.to_string(), "LevenshteinSim(left.name, right.name)");
         let bd = fx

@@ -491,7 +491,7 @@ mod tests {
             name: "toy".into(),
         };
         let pairs = vec![(0, 0), (0, 1), (1, 0), (1, 1)];
-        (Arc::new(FeatureExtractor::new(&ds)), pairs)
+        (Arc::new(FeatureExtractor::new(&ds).unwrap()), pairs)
     }
 
     #[test]

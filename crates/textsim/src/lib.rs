@@ -7,9 +7,11 @@
 //! attributes, all normalized to `[0, 1]`.
 //!
 //! The central entry points are [`SimilarityFunction`], an enum covering all
-//! 21 measures, and [`Prepared`], a pre-tokenized view of a string that lets
+//! 21 measures; [`Prepared`], a pre-tokenized view of a string that lets
 //! callers amortize tokenization when evaluating many measures against the
-//! same value (exactly what a feature extractor does).
+//! same value (exactly what a feature extractor does); and [`Scratch`], the
+//! caller-owned working memory that lets the kernels run without
+//! allocating. [`Scratch::pair`] scores many measures on one value pair.
 //!
 //! Per the paper (§3), if one or both attribute values are null/missing the
 //! similarity evaluates to `0`; the empty string is treated as missing.
@@ -33,11 +35,13 @@
 pub mod phonetic;
 pub mod prepared;
 pub mod qgram;
+mod scratch;
 pub mod seq;
 pub mod setsim;
 pub mod tokenize;
 
 pub use prepared::Prepared;
+pub use scratch::Scratch;
 
 /// One of the 21 string similarity measures from the Simmetrics suite used by
 /// the paper's feature extractor.
@@ -159,9 +163,8 @@ impl SimilarityFunction {
 
     /// Compute the similarity of two raw strings.
     ///
-    /// Prefer [`SimilarityFunction::compute_prepared`] when evaluating many
-    /// measures over the same values; this convenience method tokenizes on
-    /// every call.
+    /// Prefer [`Scratch::pair`] when evaluating many measures over the same
+    /// values; this convenience method tokenizes on every call.
     pub fn compute(self, a: &str, b: &str) -> f64 {
         self.compute_prepared(&Prepared::new(a), &Prepared::new(b))
     }
@@ -171,71 +174,80 @@ impl SimilarityFunction {
     /// Returns `0.0` if either side is missing (empty after trimming), per
     /// the paper's null-handling rule.
     pub fn compute_prepared(self, a: &Prepared, b: &Prepared) -> f64 {
-        if a.is_missing() || b.is_missing() {
-            return 0.0;
-        }
-        let s = match self {
-            SimilarityFunction::Levenshtein => seq::levenshtein_sim(a.chars(), b.chars()),
-            SimilarityFunction::DamerauLevenshtein => {
-                seq::damerau_levenshtein_sim(a.chars(), b.chars())
-            }
-            SimilarityFunction::Jaro => seq::jaro(a.chars(), b.chars()),
-            SimilarityFunction::JaroWinkler => seq::jaro_winkler(a.chars(), b.chars()),
-            SimilarityFunction::NeedlemanWunsch => seq::needleman_wunsch_sim(a.chars(), b.chars()),
-            SimilarityFunction::SmithWaterman => seq::smith_waterman_sim(a.chars(), b.chars()),
-            SimilarityFunction::SmithWatermanGotoh => {
-                seq::smith_waterman_gotoh_sim(a.chars(), b.chars())
-            }
-            SimilarityFunction::LongestCommonSubsequence => seq::lcs_seq_sim(a.chars(), b.chars()),
-            SimilarityFunction::LongestCommonSubstring => seq::lcs_str_sim(a.chars(), b.chars()),
-            SimilarityFunction::Identity => {
-                if a.normalized() == b.normalized() {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            SimilarityFunction::Jaccard => setsim::jaccard(a.token_set(), b.token_set()),
-            SimilarityFunction::GeneralizedJaccard => {
-                setsim::generalized_jaccard(a.tokens(), b.tokens())
-            }
-            SimilarityFunction::Dice => setsim::dice(a.token_set(), b.token_set()),
-            SimilarityFunction::OverlapCoefficient => setsim::overlap(a.token_set(), b.token_set()),
-            SimilarityFunction::Cosine => setsim::cosine(a.token_set(), b.token_set()),
-            SimilarityFunction::SimonWhite => qgram::simon_white(a.bigrams(), b.bigrams()),
-            SimilarityFunction::QGram => qgram::qgram_sim(a.trigrams(), b.trigrams()),
-            SimilarityFunction::BlockDistance => {
-                setsim::block_distance_sim(a.token_counts(), b.token_counts())
-            }
-            SimilarityFunction::EuclideanDistance => {
-                setsim::euclidean_sim(a.token_counts(), b.token_counts())
-            }
-            SimilarityFunction::MongeElkan => setsim::monge_elkan(a.tokens(), b.tokens()),
-            SimilarityFunction::Soundex => phonetic::soundex_sim(a.tokens(), b.tokens()),
-        };
-        // Guard against float drift: all measures are defined on [0, 1].
-        s.clamp(0.0, 1.0)
+        Scratch::default().pair(a, b).score(self)
     }
 }
 
-/// Similarity between two optional numeric values: `1 - |a-b| / max(|a|,|b|)`.
-///
-/// Used for numeric attributes like `price` where string measures are
-/// uninformative. Missing values give `0` per the paper's null rule.
-pub fn numeric_sim(a: Option<f64>, b: Option<f64>) -> f64 {
-    match (a, b) {
-        (Some(x), Some(y)) => {
-            if x == y {
-                return 1.0;
-            }
-            let denom = x.abs().max(y.abs());
-            if denom == 0.0 {
-                1.0
-            } else {
-                (1.0 - (x - y).abs() / denom).max(0.0)
+impl Scratch {
+    /// A scorer of measures on the value pair `(a, b)` that works in this
+    /// scratch space.
+    pub fn pair<'s, 'p>(&'s mut self, a: &'p Prepared, b: &'p Prepared) -> PairScorer<'s, 'p> {
+        PairScorer {
+            a,
+            b,
+            scratch: self,
+            jaro: None,
+        }
+    }
+}
+
+/// Scores similarity measures on one value pair; see [`Scratch::pair`].
+/// Jaro and Jaro-Winkler share one Jaro computation per pair.
+#[derive(Debug)]
+pub struct PairScorer<'s, 'p> {
+    a: &'p Prepared,
+    b: &'p Prepared,
+    scratch: &'s mut Scratch,
+    jaro: Option<f64>,
+}
+
+impl PairScorer<'_, '_> {
+    /// Similarity `f` of the pair, in `[0, 1]`: `0.0` if either side is
+    /// missing (empty after trimming), per the paper's null-handling rule.
+    pub fn score(&mut self, f: SimilarityFunction) -> f64 {
+        let (a, b) = (self.a, self.b);
+        if a.is_missing() || b.is_missing() {
+            return 0.0;
+        }
+        let s = &mut *self.scratch;
+        let (x, y) = (a.chars(), b.chars());
+        let v = match f {
+            SimilarityFunction::Levenshtein => seq::levenshtein_sim(x, y, s),
+            SimilarityFunction::DamerauLevenshtein => seq::damerau_levenshtein_sim(x, y, s),
+            SimilarityFunction::Jaro => self.jaro(),
+            SimilarityFunction::JaroWinkler => seq::winkler(self.jaro(), x, y),
+            SimilarityFunction::NeedlemanWunsch => seq::needleman_wunsch_sim(x, y, s),
+            SimilarityFunction::SmithWaterman => seq::smith_waterman_sim(x, y, s),
+            SimilarityFunction::SmithWatermanGotoh => seq::smith_waterman_gotoh_sim(x, y, s),
+            SimilarityFunction::LongestCommonSubsequence => seq::lcs_seq_sim(x, y, s),
+            SimilarityFunction::LongestCommonSubstring => seq::lcs_str_sim(x, y, s),
+            SimilarityFunction::Identity => f64::from(u8::from(x == y)),
+            SimilarityFunction::Jaccard => setsim::jaccard(a, b),
+            SimilarityFunction::GeneralizedJaccard => setsim::generalized_jaccard(a, b, s),
+            SimilarityFunction::Dice => setsim::dice(a, b),
+            SimilarityFunction::OverlapCoefficient => setsim::overlap(a, b),
+            SimilarityFunction::Cosine => setsim::cosine(a, b),
+            SimilarityFunction::SimonWhite => qgram::simon_white(a.bigrams(), b.bigrams()),
+            SimilarityFunction::QGram => qgram::qgram_sim(a.trigrams(), b.trigrams()),
+            SimilarityFunction::BlockDistance => setsim::block_distance_sim(a, b),
+            SimilarityFunction::EuclideanDistance => setsim::euclidean_sim(a, b),
+            SimilarityFunction::MongeElkan => setsim::monge_elkan(a, b, s),
+            SimilarityFunction::Soundex => phonetic::soundex_sim(a, b, s),
+        };
+        // Guard against float drift: all measures are defined on [0, 1].
+        v.clamp(0.0, 1.0)
+    }
+
+    /// Jaro similarity of the pair, computed once.
+    fn jaro(&mut self) -> f64 {
+        match self.jaro {
+            Some(j) => j,
+            None => {
+                let j = seq::jaro(self.a.chars(), self.b.chars(), self.scratch);
+                self.jaro = Some(j);
+                j
             }
         }
-        _ => 0.0,
     }
 }
 
@@ -272,16 +284,6 @@ mod tests {
     #[test]
     fn rule_subset_is_three() {
         assert_eq!(SimilarityFunction::RULE_SUBSET.len(), 3);
-    }
-
-    #[test]
-    fn numeric_sim_basics() {
-        assert_eq!(numeric_sim(None, Some(1.0)), 0.0);
-        assert_eq!(numeric_sim(Some(5.0), Some(5.0)), 1.0);
-        assert_eq!(numeric_sim(Some(0.0), Some(0.0)), 1.0);
-        let s = numeric_sim(Some(10.0), Some(9.0));
-        assert!((s - 0.9).abs() < 1e-12);
-        assert_eq!(numeric_sim(Some(10.0), Some(-10.0)), 0.0);
     }
 
     #[test]

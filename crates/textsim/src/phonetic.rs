@@ -2,14 +2,17 @@
 //!
 //! Simmetrics' Soundex metric encodes both inputs with the classic American
 //! Soundex algorithm and compares the codes with Jaro-Winkler. We encode the
-//! first token of each value (Soundex is a single-word code) and fall back to
-//! plain Jaro-Winkler on the raw strings when neither side starts with an
-//! alphabetic token.
+//! first token of each value (Soundex is a single-word code). When either
+//! first token has no code (it holds no ASCII letter), we fall back to plain
+//! Jaro-Winkler on the two first tokens themselves.
 
+use crate::prepared::Prepared;
+use crate::scratch::Scratch;
 use crate::seq;
 
-/// Classic 4-character American Soundex code (`None` when the input has no
-/// leading alphabetic character).
+/// Classic 4-character American Soundex code of the ASCII letters in
+/// `word`, ignoring every other char: `soundex("9th")` is `T000`. `None`
+/// when `word` holds no ASCII letter.
 pub fn soundex(word: &str) -> Option<String> {
     let letters: Vec<char> = word
         .chars()
@@ -53,21 +56,11 @@ pub fn soundex(word: &str) -> Option<String> {
 
 /// Similarity of the Soundex codes of the first tokens, compared with
 /// Jaro-Winkler. Falls back to Jaro-Winkler on the first tokens themselves
-/// when a code cannot be derived.
-pub fn soundex_sim(a_tokens: &[String], b_tokens: &[String]) -> f64 {
-    let a = a_tokens.first().map(String::as_str).unwrap_or("");
-    let b = b_tokens.first().map(String::as_str).unwrap_or("");
-    match (soundex(a), soundex(b)) {
-        (Some(ca), Some(cb)) => {
-            let x: Vec<char> = ca.chars().collect();
-            let y: Vec<char> = cb.chars().collect();
-            seq::jaro_winkler(&x, &y)
-        }
-        _ => {
-            let x: Vec<char> = a.chars().collect();
-            let y: Vec<char> = b.chars().collect();
-            seq::jaro_winkler(&x, &y)
-        }
+/// when either side has no code.
+pub fn soundex_sim(a: &Prepared, b: &Prepared, s: &mut Scratch) -> f64 {
+    match (a.soundex(), b.soundex()) {
+        (Some(ca), Some(cb)) => seq::jaro_winkler(ca, cb, s),
+        _ => seq::jaro_winkler(a.first_token(), b.first_token(), s),
     }
 }
 
@@ -93,16 +86,35 @@ mod tests {
     }
 
     #[test]
+    fn soundex_skips_leading_non_letters() {
+        // Only an input without any ASCII letter has no code.
+        assert_eq!(soundex("9th").unwrap(), "T000");
+        assert_eq!(soundex("3com").unwrap(), "C500");
+    }
+
+    #[test]
     fn phonetically_equal_names_score_one() {
-        let a = vec!["robert".to_owned()];
-        let b = vec!["rupert".to_owned()];
-        assert_eq!(soundex_sim(&a, &b), 1.0);
+        let s = &mut Scratch::default();
+        let sim = soundex_sim(&Prepared::new("robert"), &Prepared::new("rupert"), s);
+        assert_eq!(sim, 1.0);
     }
 
     #[test]
     fn numeric_tokens_fall_back() {
-        let a = vec!["123".to_owned()];
-        let b = vec!["123".to_owned()];
-        assert_eq!(soundex_sim(&a, &b), 1.0);
+        let s = &mut Scratch::default();
+        let sim = soundex_sim(&Prepared::new("123"), &Prepared::new("123"), s);
+        assert_eq!(sim, 1.0);
+    }
+
+    #[test]
+    fn one_side_without_code_compares_first_tokens() {
+        // "123" has no code, so the first tokens are compared as they
+        // are, not the raw strings and not "robert"'s code R163.
+        let s = &mut Scratch::default();
+        let (digits, name) = (Prepared::new("123 robert"), Prepared::new("robert 123"));
+        assert_eq!(soundex_sim(&digits, &name, s), 0.0);
+        assert_eq!(soundex_sim(&name, &digits, s), 0.0);
+        let shared = Prepared::new("123 x");
+        assert_eq!(soundex_sim(&digits, &shared, s), 1.0);
     }
 }

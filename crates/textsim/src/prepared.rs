@@ -4,11 +4,12 @@
 //! pair of attribute values. Tokenizing once and sharing the result across
 //! measures avoids re-deriving tokens, q-grams and counts 21 times.
 
-use crate::tokenize;
+use crate::phonetic;
+use crate::tokenize::{self, counted};
 
 /// A string plus every derived view the similarity measures need: normalized
-/// characters, whitespace tokens, sorted token set, token counts, and 2-/3-
-/// gram multisets.
+/// characters, whitespace tokens (as char ranges), the token multiset,
+/// 2-/3-gram multisets, and the Soundex code of the first token.
 ///
 /// Construct once per attribute value and reuse across measures:
 ///
@@ -25,11 +26,34 @@ use crate::tokenize;
 pub struct Prepared {
     normalized: String,
     chars: Vec<char>,
-    tokens: Vec<String>,
-    token_set: Vec<String>,
-    token_counts: Vec<(String, u32)>,
-    bigrams: Vec<(String, u32)>,
-    trigrams: Vec<(String, u32)>,
+    /// `chars[start..end]` of each whitespace token, in order.
+    tokens: Vec<(usize, usize)>,
+    /// The distinct tokens, as (index into `tokens` of one occurrence,
+    /// count), sorted by token content.
+    token_counts: Vec<(usize, u32)>,
+    /// Padded bigram and trigram multisets, each gram packed into a
+    /// `u64` (see [`pack`]), sorted by key.
+    bigrams: Vec<(u64, u32)>,
+    trigrams: Vec<(u64, u32)>,
+    /// Soundex code of the first token, when it has one.
+    soundex: Option<[char; 4]>,
+}
+
+/// Pack up to three chars into one integer, 21 bits each: every char is
+/// below `0x110000 < 2^21`, so equal keys mean equal grams.
+fn pack(gram: &[char]) -> u64 {
+    gram.iter().fold(0, |key, &c| key << 21 | u64::from(c))
+}
+
+/// Padded q-grams of `chars` packed into keys, with counts: the same
+/// multiset as [`tokenize::qgrams`] of the normalized string.
+fn packed_qgrams(chars: &[char], q: usize) -> Vec<(u64, u32)> {
+    if chars.is_empty() {
+        return Vec::new();
+    }
+    let pad = std::iter::repeat_n('#', q - 1);
+    let padded: Vec<char> = pad.clone().chain(chars.iter().copied()).chain(pad).collect();
+    counted(padded.windows(q).map(pack))
 }
 
 impl Prepared {
@@ -37,21 +61,50 @@ impl Prepared {
     pub fn new(raw: &str) -> Self {
         let normalized = tokenize::normalize(raw);
         let chars: Vec<char> = normalized.chars().collect();
-        let tokens = tokenize::tokens(&normalized);
-        let mut token_set = tokens.clone();
-        token_set.sort_unstable();
-        token_set.dedup();
-        let token_counts = tokenize::counted(tokens.iter().cloned());
-        let bigrams = tokenize::counted(tokenize::qgrams(&normalized, 2));
-        let trigrams = tokenize::counted(tokenize::qgrams(&normalized, 3));
+        let mut tokens = Vec::new();
+        let mut start = None;
+        for (i, c) in chars.iter().enumerate() {
+            match (c.is_whitespace(), start) {
+                (true, Some(s)) => {
+                    tokens.push((s, i));
+                    start = None;
+                }
+                (false, None) => start = Some(i),
+                _ => {}
+            }
+        }
+        if let Some(s) = start {
+            tokens.push((s, chars.len()));
+        }
+        let token = |k: usize| &chars[tokens[k].0..tokens[k].1];
+        let mut order: Vec<usize> = (0..tokens.len()).collect();
+        order.sort_by(|&x, &y| token(x).cmp(token(y)));
+        let mut token_counts: Vec<(usize, u32)> = Vec::new();
+        for k in order {
+            match token_counts.last_mut() {
+                Some((first, n)) if token(*first) == token(k) => *n += 1,
+                _ => token_counts.push((k, 1)),
+            }
+        }
+        let soundex = normalized
+            .split_whitespace()
+            .next()
+            .and_then(phonetic::soundex)
+            .map(|code| {
+                let mut out = ['0'; 4];
+                for (slot, c) in out.iter_mut().zip(code.chars()) {
+                    *slot = c;
+                }
+                out
+            });
         Prepared {
+            bigrams: packed_qgrams(&chars, 2),
+            trigrams: packed_qgrams(&chars, 3),
             normalized,
             chars,
             tokens,
-            token_set,
             token_counts,
-            bigrams,
-            trigrams,
+            soundex,
         }
     }
 
@@ -71,48 +124,69 @@ impl Prepared {
         &self.chars
     }
 
-    /// Whitespace tokens, in order of appearance.
-    pub fn tokens(&self) -> &[String] {
-        &self.tokens
+    /// The chars of each whitespace token, in order of appearance.
+    pub fn tokens(&self) -> impl ExactSizeIterator<Item = &[char]> + '_ {
+        self.tokens.iter().map(|&(s, e)| &self.chars[s..e])
     }
 
-    /// Sorted, deduplicated token set.
-    pub fn token_set(&self) -> &[String] {
-        &self.token_set
+    /// The chars of token `k`.
+    pub(crate) fn token(&self, k: usize) -> &[char] {
+        let (s, e) = self.tokens[k];
+        &self.chars[s..e]
     }
 
-    /// Sorted token multiset with counts.
-    pub fn token_counts(&self) -> &[(String, u32)] {
+    /// The chars of the first token (empty when there is none).
+    pub(crate) fn first_token(&self) -> &[char] {
+        self.tokens.first().map_or(&[], |&(s, e)| &self.chars[s..e])
+    }
+
+    /// The distinct tokens with counts; see the field.
+    pub(crate) fn token_counts(&self) -> &[(usize, u32)] {
         &self.token_counts
     }
 
-    /// Padded character bigram multiset with counts.
-    pub fn bigrams(&self) -> &[(String, u32)] {
+    /// Packed padded bigram multiset.
+    pub(crate) fn bigrams(&self) -> &[(u64, u32)] {
         &self.bigrams
     }
 
-    /// Padded character trigram multiset with counts.
-    pub fn trigrams(&self) -> &[(String, u32)] {
+    /// Packed padded trigram multiset.
+    pub(crate) fn trigrams(&self) -> &[(u64, u32)] {
         &self.trigrams
+    }
+
+    /// Soundex code of the first token.
+    pub(crate) fn soundex(&self) -> Option<&[char; 4]> {
+        self.soundex.as_ref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenize::qgrams;
 
     #[test]
     fn derives_all_views() {
         let p = Prepared::new("Apple iPod apple");
         assert_eq!(p.normalized(), "apple ipod apple");
         assert_eq!(p.tokens().len(), 3);
-        assert_eq!(p.token_set(), &["apple".to_owned(), "ipod".to_owned()]);
-        assert_eq!(
-            p.token_counts(),
-            &[("apple".to_owned(), 2), ("ipod".to_owned(), 1)]
-        );
-        assert!(!p.bigrams().is_empty());
-        assert!(!p.trigrams().is_empty());
+        let counts: Vec<(String, u32)> = p
+            .token_counts()
+            .iter()
+            .map(|&(k, n)| (p.token(k).iter().collect(), n))
+            .collect();
+        assert_eq!(counts, [("apple".to_owned(), 2), ("ipod".to_owned(), 1)]);
+        // The packed grams are the string grams' multisets.
+        for (q, packed) in [(2, p.bigrams()), (3, p.trigrams())] {
+            let want = counted(
+                qgrams(p.normalized(), q)
+                    .iter()
+                    .map(|g| pack(&g.chars().collect::<Vec<_>>())),
+            );
+            assert_eq!(packed, want.as_slice(), "q = {q}");
+        }
+        assert_eq!(p.soundex(), Some(&['A', '1', '4', '0']));
         assert!(!p.is_missing());
     }
 

@@ -1,24 +1,28 @@
 //! Character q-gram similarity measures (Ukkonen q-gram distance and the
 //! Simon White bigram coefficient).
+//!
+//! Both take key-sorted `(gram, count)` multisets of any key type: the
+//! packed grams of [`crate::Prepared`], or the strings of
+//! [`crate::tokenize::qgrams`] counted with [`crate::tokenize::counted`].
 
 use crate::tokenize::merge_counts;
 
 /// Ukkonen q-gram distance converted to a similarity:
 /// `1 - sum |count_a - count_b| / (total_a + total_b)` over the q-gram
 /// multisets (this crate uses padded trigrams).
-pub fn qgram_sim(a: &[(String, u32)], b: &[(String, u32)]) -> f64 {
+pub fn qgram_sim<K: Ord>(a: &[(K, u32)], b: &[(K, u32)]) -> f64 {
     let total: u32 = a.iter().map(|(_, n)| n).sum::<u32>() + b.iter().map(|(_, n)| n).sum::<u32>();
     if total == 0 {
         return 1.0;
     }
-    let dist = merge_counts(a, b, |x, y| (f64::from(x) - f64::from(y)).abs());
+    let dist = merge_counts(a, b, |x, y| f64::from(x.abs_diff(y)));
     1.0 - dist / f64::from(total)
 }
 
 /// Simon White coefficient: Dice on bigram multisets,
 /// `2 * |overlap| / (|a| + |b|)` where overlap takes `min(count_a, count_b)`
 /// per gram.
-pub fn simon_white(a: &[(String, u32)], b: &[(String, u32)]) -> f64 {
+pub fn simon_white<K: Ord>(a: &[(K, u32)], b: &[(K, u32)]) -> f64 {
     let total: u32 = a.iter().map(|(_, n)| n).sum::<u32>() + b.iter().map(|(_, n)| n).sum::<u32>();
     if total == 0 {
         return 1.0;

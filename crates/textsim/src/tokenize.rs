@@ -57,10 +57,10 @@ pub fn qgrams(normalized: &str, q: usize) -> Vec<String> {
 ///
 /// Used for block/Euclidean distance and Simon White, which operate on
 /// token/q-gram multisets rather than sets.
-pub fn counted<I: IntoIterator<Item = String>>(items: I) -> Vec<(String, u32)> {
-    let mut v: Vec<String> = items.into_iter().collect();
+pub fn counted<T: Ord, I: IntoIterator<Item = T>>(items: I) -> Vec<(T, u32)> {
+    let mut v: Vec<T> = items.into_iter().collect();
     v.sort_unstable();
-    let mut out: Vec<(String, u32)> = Vec::new();
+    let mut out: Vec<(T, u32)> = Vec::new();
     for item in v {
         match out.last_mut() {
             Some((last, n)) if *last == item => *n += 1,
@@ -73,15 +73,26 @@ pub fn counted<I: IntoIterator<Item = String>>(items: I) -> Vec<(String, u32)> {
 /// Intersect two count-sorted multisets, applying `f(count_a, count_b)` to
 /// aligned entries (missing entries count 0). Returns the sum of `f` over the
 /// union of keys.
-pub fn merge_counts<F: FnMut(u32, u32) -> f64>(
-    a: &[(String, u32)],
-    b: &[(String, u32)],
-    mut f: F,
+pub fn merge_counts<K: Ord, F: FnMut(u32, u32) -> f64>(
+    a: &[(K, u32)],
+    b: &[(K, u32)],
+    f: F,
 ) -> f64 {
+    merge_counts_by(a, b, K::cmp, f)
+}
+
+/// [`merge_counts`] over lists sorted by `cmp`, which orders a key of `a`
+/// against a key of `b` (the keys may be handles whose order is not their
+/// own, such as token indices ordered by token content).
+pub fn merge_counts_by<A, B, C, F>(a: &[(A, u32)], b: &[(B, u32)], mut cmp: C, mut f: F) -> f64
+where
+    C: FnMut(&A, &B) -> std::cmp::Ordering,
+    F: FnMut(u32, u32) -> f64,
+{
     let (mut i, mut j) = (0, 0);
     let mut acc = 0.0;
     while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
+        match cmp(&a[i].0, &b[j].0) {
             std::cmp::Ordering::Less => {
                 acc += f(a[i].1, 0);
                 i += 1;
