@@ -14,7 +14,7 @@
 
 use crate::error::AlemError;
 use crate::schema::{EmDataset, Pair, Table};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use textsim::{Prepared, Scratch, SimilarityFunction};
 
@@ -100,7 +100,7 @@ impl fmt::Debug for FeatureExtractor {
 /// raw value (a missing value is the empty string) on first sight.
 fn intern_table<'t>(
     table: &'t Table,
-    ids: &mut HashMap<&'t str, usize>,
+    ids: &mut BTreeMap<&'t str, usize>,
     values: &mut Vec<Prepared>,
 ) -> Vec<usize> {
     let mut cells = Vec::with_capacity(table.len() * table.schema().len());
@@ -131,7 +131,7 @@ impl FeatureExtractor {
                 ds.right.name()
             )));
         }
-        let mut ids = HashMap::new();
+        let mut ids = BTreeMap::new();
         let mut values = Vec::new();
         let left = intern_table(&ds.left, &mut ids, &mut values);
         let right = intern_table(&ds.right, &mut ids, &mut values);
@@ -214,7 +214,10 @@ impl FeatureExtractor {
     pub fn extract_all_with(&self, pairs: &[Pair], par: &alem_par::Parallelism) -> Vec<Vec<f64>> {
         par.map_chunks(pairs, |chunk| {
             let mut scratch = Scratch::default();
-            chunk.iter().map(|&p| self.row_with(p, &mut scratch)).collect()
+            chunk
+                .iter()
+                .map(|&p| self.row_with(p, &mut scratch))
+                .collect()
         })
     }
 
@@ -342,7 +345,10 @@ mod tests {
         ds.right = Table::new(
             "r",
             ds.right.schema().clone(),
-            vec![Record::new(vec![Some("sony walkman".into()), Some("149".into())])],
+            vec![Record::new(vec![
+                Some("sony walkman".into()),
+                Some("149".into()),
+            ])],
         );
         let fx = FeatureExtractor::new(&ds).unwrap();
         // Six cells, four distinct raw values: "apple ipod nano", "149",

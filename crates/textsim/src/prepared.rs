@@ -52,7 +52,11 @@ fn packed_qgrams(chars: &[char], q: usize) -> Vec<(u64, u32)> {
         return Vec::new();
     }
     let pad = std::iter::repeat_n('#', q - 1);
-    let padded: Vec<char> = pad.clone().chain(chars.iter().copied()).chain(pad).collect();
+    let padded: Vec<char> = pad
+        .clone()
+        .chain(chars.iter().copied())
+        .chain(pad)
+        .collect();
     counted(padded.windows(q).map(pack))
 }
 

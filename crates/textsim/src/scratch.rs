@@ -15,7 +15,7 @@
 /// let scores: Vec<f64> = SimilarityFunction::ALL.iter().map(|&f| pair.score(f)).collect();
 /// assert_eq!(scores[0], SimilarityFunction::ALL[0].compute_prepared(&a, &b));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Scratch {
     /// Rolling DP rows in whole units.
     pub(crate) rows: [Vec<u32>; 3],
@@ -39,7 +39,7 @@ pub struct Scratch {
 /// char `c`, bit `i % 64` of word `i / 64` is set where the pattern holds
 /// `c` at position `i`. Row 0 is all zeros and stands for every char the
 /// pattern does not hold.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Peq {
     /// Words per row: `ceil(pattern length / 64)`.
     pub(crate) words: usize,

@@ -96,16 +96,22 @@ pub fn damerau_levenshtein(a: &[char], b: &[char], s: &mut Scratch) -> usize {
     for (j, cell) in up.iter_mut().enumerate() {
         *cell = j as u32;
     }
-    for i in 1..=a.len() {
-        cur[0] = i as u32;
-        for j in 1..=n {
-            let cost = u32::from(a[i - 1] != b[j - 1]);
-            let mut best = (up[j] + 1).min(cur[j - 1] + 1).min(up[j - 1] + cost);
-            if i > 1 && j > 1 && a[i - 1] == b[j - 2] && a[i - 2] == b[j - 1] {
-                best = best.min(two_up[j - 2] + 1);
+    let mut prev_a = None;
+    for (i, &ca) in a.iter().enumerate() {
+        let (two_up_row, up_row, cur_row) = (&two_up[..=n], &up[..=n], &mut cur[..=n]);
+        let mut left = i as u32 + 1;
+        cur_row[0] = left;
+        for j in 0..n {
+            let cb = b[j];
+            let cost = u32::from(ca != cb);
+            let mut v = (up_row[j + 1] + 1).min(left + 1).min(up_row[j] + cost);
+            if j > 0 && prev_a == Some(cb) && ca == b[j - 1] {
+                v = v.min(two_up_row[j - 1] + 1);
             }
-            cur[j] = best;
+            cur_row[j + 1] = v;
+            left = v;
         }
+        prev_a = Some(ca);
         std::mem::swap(two_up, up);
         std::mem::swap(up, cur);
     }
@@ -162,7 +168,7 @@ pub fn jaro_winkler(a: &[char], b: &[char], s: &mut Scratch) -> f64 {
 
 /// Jaro-Winkler from the Jaro similarity `j` of `a` and `b`: boost `j` by
 /// their common prefix (at most 4 chars, scaling factor 0.1).
-pub fn winkler(j: f64, a: &[char], b: &[char]) -> f64 {
+pub(crate) fn winkler(j: f64, a: &[char], b: &[char]) -> f64 {
     let prefix = a
         .iter()
         .zip(b.iter())
@@ -192,11 +198,11 @@ pub fn needleman_wunsch_sim(a: &[char], b: &[char], s: &mut Scratch) -> f64 {
         let mut diag = row[0];
         row[0] = (i as u32 + 1) * NW_GAP;
         let mut left = row[0];
-        for (j, &cb) in b.iter().enumerate() {
-            let up = row[j + 1];
+        for (cell, &cb) in row[1..].iter_mut().zip(b) {
+            let up = *cell;
             let sub = diag + if ca == cb { 0 } else { NW_SUB };
             left = sub.min(up + NW_GAP).min(left + NW_GAP);
-            row[j + 1] = left;
+            *cell = left;
             diag = up;
         }
     }
@@ -230,11 +236,11 @@ pub fn smith_waterman_sim(a: &[char], b: &[char], s: &mut Scratch) -> f64 {
     let mut best = 0;
     for &ca in a {
         let (mut diag, mut left) = (0, 0);
-        for (j, &cb) in b.iter().enumerate() {
-            let up = h[j + 1];
+        for (cell, &cb) in h[1..].iter_mut().zip(b) {
+            let up = *cell;
             let score = diag + if ca == cb { SW_MATCH } else { SW_MISMATCH };
             left = score.max(up + SW_GAP).max(left + SW_GAP).max(0);
-            h[j + 1] = left;
+            *cell = left;
             best = best.max(left);
             diag = up;
         }
@@ -266,13 +272,13 @@ pub fn smith_waterman_gotoh_sim(a: &[char], b: &[char], s: &mut Scratch) -> f64 
     let mut best = 0;
     for &ca in a {
         let (mut diag, mut left, mut e) = (0, 0, SWG_NONE);
-        for (j, &cb) in b.iter().enumerate() {
-            let up = h[j + 1];
+        for ((cell, gap), &cb) in h[1..].iter_mut().zip(&mut f[1..]).zip(b) {
+            let up = *cell;
             e = (left + SWG_OPEN).max(e + SWG_EXTEND);
-            f[j + 1] = (up + SWG_OPEN).max(f[j + 1] + SWG_EXTEND);
+            *gap = (up + SWG_OPEN).max(*gap + SWG_EXTEND);
             let score = diag + if ca == cb { SW_MATCH } else { SW_MISMATCH };
-            left = score.max(e).max(f[j + 1]).max(0);
-            h[j + 1] = left;
+            left = score.max(e).max(*gap).max(0);
+            *cell = left;
             best = best.max(left);
             diag = up;
         }
@@ -292,7 +298,7 @@ pub fn lcs_seq_sim(a: &[char], b: &[char], s: &mut Scratch) -> f64 {
 /// Length of the longest common subsequence, bit-parallel over `a` in
 /// blocks of 64 chars (Hyyrö 2004): the zero bits of the state vector
 /// mark the rows where the LCS grew.
-pub fn lcs_seq(a: &[char], b: &[char], s: &mut Scratch) -> usize {
+fn lcs_seq(a: &[char], b: &[char], s: &mut Scratch) -> usize {
     if a.is_empty() || b.is_empty() {
         return 0;
     }
@@ -336,10 +342,10 @@ pub fn lcs_str_sim(a: &[char], b: &[char], s: &mut Scratch) -> f64 {
     let mut best = 0u32;
     for &ca in a {
         let mut diag = 0;
-        for (j, &cb) in b.iter().enumerate() {
-            let up = row[j + 1];
-            row[j + 1] = if ca == cb { diag + 1 } else { 0 };
-            best = best.max(row[j + 1]);
+        for (cell, &cb) in row[1..].iter_mut().zip(b) {
+            let up = *cell;
+            *cell = if ca == cb { diag + 1 } else { 0 };
+            best = best.max(*cell);
             diag = up;
         }
     }

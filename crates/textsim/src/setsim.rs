@@ -24,7 +24,11 @@ fn merge_tokens(a: &Prepared, b: &Prepared, f: impl FnMut(u32, u32) -> f64) -> f
 /// Sizes of the two token sets and of their intersection.
 fn set_sizes(a: &Prepared, b: &Prepared) -> (usize, usize, usize) {
     let inter = merge_tokens(a, b, |x, y| f64::from(u8::from(x > 0 && y > 0)));
-    (a.token_counts().len(), b.token_counts().len(), inter as usize)
+    (
+        a.token_counts().len(),
+        b.token_counts().len(),
+        inter as usize,
+    )
 }
 
 /// Jaccard coefficient `|A ∩ B| / |A ∪ B|` on token sets.
@@ -133,7 +137,10 @@ pub fn monge_elkan(a: &Prepared, b: &Prepared, s: &mut Scratch) -> f64 {
     }
     let mut b_to_a = 0.0;
     for j in 0..n {
-        b_to_a += sims[j..].iter().step_by(n).fold(0.0f64, |best, &v| best.max(v));
+        b_to_a += sims[j..]
+            .iter()
+            .step_by(n)
+            .fold(0.0f64, |best, &v| best.max(v));
     }
     s.sims = sims;
     0.5 * (a_to_b / m as f64 + b_to_a / n as f64)

@@ -3,8 +3,6 @@
 //! They define what every measure computes. The production kernels must
 //! return the same bits for every input; `sim_properties.rs` checks that.
 
-#![allow(dead_code)]
-
 use textsim::tokenize::{counted, normalize, qgrams, tokens};
 use textsim::SimilarityFunction;
 
@@ -44,11 +42,14 @@ impl OldPrepared {
 
 /// Measure `f` of two raw strings, as first written.
 pub fn compute(f: SimilarityFunction, a: &str, b: &str) -> f64 {
-    let (a, b) = (OldPrepared::new(a), OldPrepared::new(b));
+    compute_prepared(f, &OldPrepared::new(a), &OldPrepared::new(b))
+}
+
+/// Measure `f` of two prepared values, as first written.
+pub fn compute_prepared(f: SimilarityFunction, a: &OldPrepared, b: &OldPrepared) -> f64 {
     if a.normalized.is_empty() || b.normalized.is_empty() {
         return 0.0;
     }
-    let (a, b) = (&a, &b);
     let s = match f {
         SimilarityFunction::Levenshtein => seq::levenshtein_sim(&a.chars, &b.chars),
         SimilarityFunction::DamerauLevenshtein => seq::damerau_levenshtein_sim(&a.chars, &b.chars),
