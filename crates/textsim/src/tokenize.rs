@@ -84,7 +84,12 @@ pub fn merge_counts<K: Ord, F: FnMut(u32, u32) -> f64>(
 /// [`merge_counts`] over lists sorted by `cmp`, which orders a key of `a`
 /// against a key of `b` (the keys may be handles whose order is not their
 /// own, such as token indices ordered by token content).
-pub(crate) fn merge_counts_by<A, B, C, F>(a: &[(A, u32)], b: &[(B, u32)], mut cmp: C, mut f: F) -> f64
+pub(crate) fn merge_counts_by<A, B, C, F>(
+    a: &[(A, u32)],
+    b: &[(B, u32)],
+    mut cmp: C,
+    mut f: F,
+) -> f64
 where
     C: FnMut(&A, &B) -> std::cmp::Ordering,
     F: FnMut(u32, u32) -> f64,
