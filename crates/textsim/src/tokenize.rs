@@ -55,8 +55,8 @@ pub fn qgrams(normalized: &str, q: usize) -> Vec<String> {
 
 /// Multiset of items with counts, sorted by item for deterministic iteration.
 ///
-/// Used for block/Euclidean distance and Simon White, which operate on
-/// token/q-gram multisets rather than sets.
+/// Used for the q-gram multisets of Simon White and the q-gram distance,
+/// which operate on multisets rather than sets.
 pub fn counted<T: Ord, I: IntoIterator<Item = T>>(items: I) -> Vec<(T, u32)> {
     let mut v: Vec<T> = items.into_iter().collect();
     v.sort_unstable();
