@@ -5,12 +5,10 @@
 //! [--min-candidates N] [--smoke] [--out FILE]`
 //!
 //! Every `alem-block` strategy — capped token index, q-gram index,
-//! sorted-neighborhood at two windows, minhash-LSH — plus the paper's
-//! sequential token-Jaccard baseline (smoke scale only; it has no
-//! stop-token cap and degenerates on the corpus's universal email
-//! tokens) runs at each thread count. Each run is a single streaming
-//! pass producing a [`BlockingReport`]: candidate count, reduction
-//! ratio, recall, gender-group recall, and a pair-stream fingerprint.
+//! sorted-neighborhood at two windows, minhash-LSH — runs at each thread
+//! count. Each run is a single streaming pass producing a
+//! [`BlockingReport`]: candidate count, reduction ratio, recall,
+//! gender-group recall, and a pair-stream fingerprint.
 //!
 //! Two gates are always fatal:
 //!
@@ -24,8 +22,7 @@
 //! Timings are whatever this machine actually measured.
 
 use alem_block::{
-    BlockingConfig, BlockingReport, CandidateSource, MinHashLsh, QGramIndex, SortedNeighborhood,
-    TokenIndex,
+    BlockingReport, CandidateSource, MinHashLsh, QGramIndex, SortedNeighborhood, TokenIndex,
 };
 use alem_core::schema::EmDataset;
 use alem_par::Parallelism;
@@ -110,11 +107,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The sweep: label + strategy factory per thread count. The uncapped
-/// sequential baseline joins only at smoke scale — universal email
-/// tokens ("example", "mail") give it a quadratic probe at full scale.
-fn strategies(smoke: bool) -> Vec<(&'static str, StrategyFactory)> {
-    let mut v: Vec<(&'static str, StrategyFactory)> = vec![
+/// The sweep: label + strategy factory per thread count.
+fn strategies() -> Vec<(&'static str, StrategyFactory)> {
+    vec![
         (
             "token-capped",
             Box::new(|par| {
@@ -187,18 +182,7 @@ fn strategies(smoke: bool) -> Vec<(&'static str, StrategyFactory)> {
                 )
             }),
         ),
-    ];
-    if smoke {
-        v.push((
-            "baseline-jaccard",
-            Box::new(|_par| {
-                Box::new(BlockingConfig {
-                    jaccard_threshold: 0.1875,
-                })
-            }),
-        ));
-    }
-    v
+    ]
 }
 
 type StrategyFactory = Box<dyn Fn(Parallelism) -> Box<dyn CandidateSource>>;
@@ -325,7 +309,7 @@ fn main() {
         total_pairs: ds.total_pairs(),
     };
 
-    let strategy_reports: Vec<StrategyReport> = strategies(smoke)
+    let strategy_reports: Vec<StrategyReport> = strategies()
         .iter()
         .map(|(label, factory)| sweep_strategy(label, factory, &ds, &threads_list))
         .collect();

@@ -31,7 +31,7 @@
 //! Timings are whatever this machine actually measured — on a single-core
 //! host the thread counts will (honestly) tie.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
 use alem_core::learner::SvmTrainer;
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
@@ -209,7 +209,7 @@ fn mode_strategies(lazy_topk: usize) -> Vec<(&'static str, bool, Box<dyn Strateg
 /// counters land in the row.
 fn run_mode(
     ds: &EmDataset,
-    blocking: &BlockingConfig,
+    blocking: &TokenIndex,
     mode: &'static str,
     lazy_corpus: bool,
     strat: Box<dyn Strategy + Send>,
@@ -221,11 +221,11 @@ fn run_mode(
     let t0 = Instant::now();
     let par = Parallelism::fixed(threads);
     let (corpus, _fx) = if lazy_corpus {
-        Corpus::from_candidates_lazy_with(ds, blocking, &par)
+        Corpus::from_candidates_lazy(ds, blocking)
     } else {
         Corpus::from_candidates_with(ds, blocking, &par)
     }
-    .expect("blocking config streams valid candidates");
+    .expect("the token index streams valid candidates");
     let build_secs = t0.elapsed().as_secs_f64();
     let oracle = Oracle::perfect(corpus.truths().to_vec());
     let config = SessionConfig {
@@ -470,11 +470,11 @@ fn main() {
     ] {
         let cfg = d.config(scale);
         let ds = datagen::generate(&cfg, 42);
-        let blocking = BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        };
+        let blocking = TokenIndex::builder()
+            .threshold(cfg.blocking_threshold)
+            .build();
         let (corpus, _fx) = Corpus::from_candidates_with(&ds, &blocking, &Parallelism::default())
-            .expect("blocking config streams valid candidates");
+            .expect("the token index streams valid candidates");
         println!("{}: pairs={} dim={}", d.name(), corpus.len(), corpus.dim());
         let mut runs = Vec::new();
         let mut identical = true;

@@ -2,7 +2,7 @@
 //! dataset, block it, and featurize the candidate pairs through
 //! [`Corpus::from_candidates_with`].
 
-use alem_core::blocking::{stats, BlockingConfig, BlockingStats};
+use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
 use alem_core::features::FeatureExtractor;
 use alem_core::schema::EmDataset;
@@ -19,25 +19,16 @@ pub struct PreparedData {
     pub corpus: Corpus,
     /// The extractor (for feature descriptions in interpretability output).
     pub extractor: Arc<FeatureExtractor>,
-    /// Blocking statistics (Table 1 row).
-    pub stats: BlockingStats,
 }
 
 /// Build a corpus for a generated dataset with its configured blocking
 /// threshold, featurizing across the machine's cores.
 pub fn prepare_dataset(ds: &EmDataset, blocking_threshold: f64) -> PreparedData {
-    let blocking = BlockingConfig {
-        jaccard_threshold: blocking_threshold,
-    };
+    let blocking = TokenIndex::builder().threshold(blocking_threshold).build();
     let (corpus, extractor) = Corpus::from_candidates_with(ds, &blocking, &Parallelism::default())
         // alem-lint: allow(panic-reach) -- the Jaccard filter cannot fail; a failed build is a harness bug
         .unwrap_or_else(|e| panic!("corpus build failed: {e}"));
-    let pairs: Vec<_> = (0..corpus.len()).map(|i| corpus.pair(i)).collect();
-    PreparedData {
-        stats: stats(ds, &pairs),
-        corpus,
-        extractor,
-    }
+    PreparedData { corpus, extractor }
 }
 
 /// Generate + prepare one paper dataset at `scale`.
@@ -57,7 +48,6 @@ mod tests {
         assert!(p.corpus.len() > 50);
         assert_eq!(p.corpus.dim(), 4 * 21);
         assert!(p.corpus.bool_features().is_some());
-        assert_eq!(p.stats.post_blocking_pairs, p.corpus.len());
         assert_eq!(p.corpus.name(), "BeerAdvocate-RateBeer");
     }
 
@@ -65,9 +55,9 @@ mod tests {
     fn parallel_extraction_matches_serial() {
         let cfg = PaperDataset::DblpAcm.config(0.05);
         let ds = datagen::generate(&cfg, 1);
-        let blocking = BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        };
+        let blocking = TokenIndex::builder()
+            .threshold(cfg.blocking_threshold)
+            .build();
         let build = |par: &Parallelism| {
             Corpus::from_candidates_with(&ds, &blocking, par)
                 .expect("blocking succeeds")

@@ -1,7 +1,7 @@
 //! One function per paper table/figure, producing the same rows/series the
 //! paper plots (see DESIGN.md §4 for the experiment index).
 
-use crate::data::prepare;
+use crate::data::{prepare, prepare_dataset, DATA_SEED};
 use crate::runner::{paper_params, run_noisy, run_parallel, run_perfect, RUN_SEED};
 use alem_core::corpus::Corpus;
 use alem_core::ensemble::ActiveEnsembleStrategy;
@@ -143,12 +143,14 @@ pub fn table1(cfg: ExpConfig) -> TableReport {
             .iter()
             .map(|&d| {
                 move || {
-                    let p = prepare(d, cfg.scale);
+                    let data = d.config(cfg.scale);
+                    let ds = datagen::generate(&data, DATA_SEED);
+                    let corpus = prepare_dataset(&ds, data.blocking_threshold).corpus;
                     vec![
                         d.name().to_owned(),
-                        format!("{}", p.stats.total_pairs),
-                        format!("{}", p.stats.post_blocking_pairs),
-                        format!("{:.3}", p.stats.class_skew),
+                        format!("{}", ds.total_pairs()),
+                        format!("{}", corpus.len()),
+                        format!("{:.3}", corpus.skew()),
                         format!("{}", d.paper_post_blocking()),
                         format!("{:.3}", d.paper_skew()),
                     ]

@@ -8,11 +8,9 @@
 //! else downstream — is agnostic to how the pairs were generated:
 //!
 //! * [`TokenIndex`] — a parallel token inverted index with a Jaccard
-//!   accept threshold: the scale-out generalization of the paper's §6
-//!   blocking filter (the sequential original,
-//!   [`BlockingConfig`], is re-exported here and remains the
-//!   paper-faithful baseline). An optional posting-length cap skips
-//!   stop-tokens so probe cost stays near-linear on skewed vocabularies.
+//!   accept threshold: the paper's §6 blocking filter. An optional
+//!   posting-length cap skips stop-tokens so probe cost stays
+//!   near-linear on skewed vocabularies.
 //! * [`QGramIndex`] — a character q-gram inverted index with an absolute
 //!   shared-gram threshold; robust to typos that break whole-token
 //!   overlap.
@@ -40,7 +38,6 @@ mod qgram;
 mod sorted;
 mod token;
 
-pub use alem_core::blocking::BlockingConfig;
 pub use alem_core::candidates::{
     collect_validated, BlockingReport, CandidateSource, GroupRecall, PairHasher, DEFAULT_CHUNK,
 };
@@ -54,9 +51,7 @@ use alem_core::schema::Table;
 /// Sorted, deduplicated token set over the selected attributes of a
 /// record (all attributes when `attr` is `None`). Single-character
 /// tokens are dropped — they collide across unrelated records and would
-/// swamp any inverted index. Mirrors the tokenization of the core
-/// Jaccard filter so `TokenIndex` without a posting cap reproduces
-/// `BlockingConfig` exactly.
+/// swamp any inverted index.
 pub(crate) fn record_tokens(table: &Table, idx: usize, attr: Option<usize>) -> Vec<String> {
     let mut toks: Vec<String> = Vec::new();
     let record = table.record(idx);

@@ -1,11 +1,14 @@
 //! Contract tests for every `CandidateSource` in `alem-block`: streams
 //! are sorted, deduplicated, in-bounds, and byte-identical at 1/2/8
-//! threads; plus golden blocking-quality numbers on the smoke-scale
-//! social corpus.
+//! threads; the token index emits exactly the pairs of the sequential
+//! Jaccard probe in [`oracle`]; plus golden blocking-quality numbers on
+//! the smoke-scale social corpus.
+
+mod oracle;
 
 use alem_block::{
-    collect_validated, BlockingConfig, BlockingReport, CandidateSource, MinHashLsh, QGramIndex,
-    SortedNeighborhood, TokenIndex,
+    collect_validated, BlockingReport, CandidateSource, MinHashLsh, QGramIndex, SortedNeighborhood,
+    TokenIndex,
 };
 use alem_core::schema::{AttrKind, EmDataset, Record, Schema, Table};
 use alem_par::Parallelism;
@@ -84,9 +87,6 @@ fn sources(par: Parallelism) -> Vec<Box<dyn CandidateSource>> {
                 .parallelism(par)
                 .build(),
         ),
-        Box::new(BlockingConfig {
-            jaccard_threshold: 0.2,
-        }),
     ]
 }
 
@@ -129,6 +129,27 @@ proptest! {
         }
     }
 
+    /// An uncapped `TokenIndex` emits exactly the pairs of the
+    /// sequential Jaccard probe, from a threshold of 0 (every pair that
+    /// shares a token) to one only identical token sets reach.
+    #[test]
+    fn uncapped_token_index_matches_oracle(
+        left in prop::collection::vec(prop::collection::vec(0usize..20, 1..5), 1..25),
+        right in prop::collection::vec(prop::collection::vec(0usize..20, 1..5), 1..25),
+    ) {
+        let ds = dataset(&left, &right);
+        for t in [0.0, 0.1, 0.2, 0.4, 0.99] {
+            let ours = TokenIndex::builder()
+                .threshold(t)
+                .parallelism(Parallelism::sequential())
+                .probe_block(3)
+                .build()
+                .collect_pairs(&ds)
+                .unwrap();
+            prop_assert_eq!(ours, oracle::jaccard_pairs(&ds, t), "threshold {}", t);
+        }
+    }
+
     /// Rerunning the same strategy on the same data always fingerprints
     /// identically (no ambient randomness anywhere on the path).
     #[test]
@@ -145,23 +166,27 @@ proptest! {
     }
 }
 
-/// An uncapped `TokenIndex` is pair-for-pair the core `BlockingConfig`
-/// filter at the same threshold — the redesign changed the engine, not
-/// the candidates.
+/// On the social corpus at `bench_blocking --smoke` scale the token
+/// index is pair-for-pair the sequential Jaccard probe at the paper's
+/// threshold — uncapped, and capped at the sweep's 20,000 postings
+/// (which never binds at this scale), at 1 and 4 threads.
 #[test]
 fn token_index_reproduces_core_baseline_on_social_smoke() {
-    let ds = datagen::generate_social(&SocialConfig::scaled(0.25), 42);
-    let core = BlockingConfig {
-        jaccard_threshold: 0.1875,
+    let ds = datagen::generate_social(&SocialConfig::scaled(1.0), 42);
+    let reference = oracle::jaccard_pairs(&ds, 0.1875);
+    assert!(!reference.is_empty());
+    for cap in [usize::MAX, 20_000] {
+        for threads in [1, 4] {
+            let ours = TokenIndex::builder()
+                .threshold(0.1875)
+                .max_postings(cap)
+                .parallelism(Parallelism::fixed(threads))
+                .build()
+                .collect_pairs(&ds)
+                .unwrap();
+            assert!(ours == reference, "cap {cap}, {threads} threads");
+        }
     }
-    .block(&ds);
-    let ours = TokenIndex::builder()
-        .threshold(0.1875)
-        .parallelism(Parallelism::fixed(4))
-        .build()
-        .collect_pairs(&ds)
-        .unwrap();
-    assert_eq!(ours, core);
 }
 
 /// Golden blocking-quality numbers on the smoke-scale social corpus

@@ -2,7 +2,7 @@
 
 use crate::csv::{render, CsvTable};
 use crate::Args;
-use alem_core::blocking::{stats, BlockingConfig};
+use alem_block::{BlockingReport, TokenIndex};
 use alem_core::corpus::Corpus;
 use alem_core::ensemble::ActiveEnsembleStrategy;
 use alem_core::learner::{DnfTrainer, NnTrainer, SvmTrainer};
@@ -232,25 +232,23 @@ fn build_strategy(
 pub fn cmd_block(args: &Args) -> CliResult {
     let ds = build_dataset(args)?;
     let threshold = blocking_threshold(args)?;
-    let pairs = BlockingConfig {
-        jaccard_threshold: threshold,
-    }
-    .block(&ds);
-    let s = stats(&ds, &pairs);
+    let index = TokenIndex::builder().threshold(threshold).build();
+    let r = BlockingReport::compute(&index, &ds, None)?;
     println!(
         "left records:        {}\nright records:       {}\ncartesian pairs:     {}",
         ds.left.len(),
         ds.right.len(),
-        s.total_pairs
+        r.total_pairs
     );
     println!(
         "post-blocking pairs: {} (threshold {threshold})",
-        s.post_blocking_pairs
+        r.candidates
     );
     if !ds.matches.is_empty() {
+        let skew = r.matches_retained as f64 / r.candidates.max(1) as f64;
         println!(
-            "truth matches kept:  {}/{} (class skew {:.3})",
-            s.matches_retained, s.matches_total, s.class_skew
+            "truth matches kept:  {}/{} (class skew {skew:.3})",
+            r.matches_retained, r.matches_total
         );
     }
     Ok(())
@@ -286,20 +284,20 @@ pub fn cmd_match(args: &Args) -> CliResult {
     };
 
     let ds = build_dataset(args)?;
-    let threshold = blocking_threshold(args)?;
-    let blocking = BlockingConfig {
-        jaccard_threshold: threshold,
-    };
-    let blocking_span = obs.span("blocking");
-    let pairs = blocking.block(&ds);
-    blocking_span.finish();
-    if pairs.is_empty() {
+    // The index times its own passes (`block.index_build`, `block.probe`)
+    // inside the corpus build, which also featurizes every pair.
+    let index = TokenIndex::builder()
+        .threshold(blocking_threshold(args)?)
+        .parallelism(parallelism)
+        .obs(obs.clone())
+        .build();
+    let corpus_span = obs.span("corpus");
+    let (corpus, _fx) = Corpus::from_candidates_with(&ds, &index, &parallelism)?;
+    corpus_span.finish();
+    if corpus.is_empty() {
         return Err("blocking produced no candidate pairs; lower --threshold".into());
     }
-    eprintln!("[alem] {} candidate pairs after blocking", pairs.len());
-    let featurize_span = obs.span("featurize");
-    let (corpus, _fx) = Corpus::from_candidates_with(&ds, &blocking, &parallelism)?;
-    featurize_span.finish();
+    eprintln!("[alem] {} candidate pairs after blocking", corpus.len());
 
     let budget: usize = args
         .get("budget")
@@ -453,17 +451,15 @@ pub fn cmd_predict(args: &Args) -> CliResult {
         .map_err(|e| format!("{model_path}: not a saved alem model: {e}"))?;
 
     let ds = build_dataset(args)?;
-    let threshold = blocking_threshold(args)?;
-    let blocking = BlockingConfig {
-        jaccard_threshold: threshold,
-    };
-    let pairs = blocking.block(&ds);
+    let index = TokenIndex::builder()
+        .threshold(blocking_threshold(args)?)
+        .build();
+    let (corpus, _fx) = Corpus::from_candidates(&ds, &index)?;
     eprintln!(
         "[alem] applying saved {} model to {} candidate pairs",
         model.kind(),
-        pairs.len()
+        corpus.len()
     );
-    let (corpus, _fx) = Corpus::from_candidates(&ds, &blocking)?;
 
     let mut out_rows = vec![vec!["left_row".to_owned(), "right_row".to_owned()]];
     for i in 0..corpus.len() {

@@ -2,10 +2,9 @@
 //!
 //! Real entity matching starts from two raw tables, not a materialized
 //! pair list. A `CandidateSource` is anything that can *stream* the
-//! candidate pairs of an [`EmDataset`] — the core Jaccard filter
-//! ([`crate::blocking::BlockingConfig`]), the scale-out index strategies
-//! of `alem-block` (token/q-gram inverted indexes, sorted-neighborhood,
-//! minhash-LSH), or a replayed pair file. [`crate::corpus::Corpus`]
+//! candidate pairs of an [`EmDataset`] — the index strategies of
+//! `alem-block` (the paper's Jaccard token filter, a q-gram index,
+//! sorted-neighborhood, minhash-LSH), or a replayed pair file. [`crate::corpus::Corpus`]
 //! consumes the trait via `Corpus::from_candidates`, so the active-learning
 //! layer never needs to know (or hold in one `Vec`) how candidates were
 //! produced.
@@ -108,7 +107,8 @@ impl PairHasher {
 /// derived.
 pub trait CandidateSource {
     /// Human-readable strategy label including its parameters, e.g.
-    /// `"token-jaccard(t=0.1875)"`. Used in reports and benchmarks.
+    /// `"token-index(t=0.1875,attr=all,cap=none)"`. Used in reports and
+    /// benchmarks.
     fn describe(&self) -> String;
 
     /// `(lower, upper)` bounds on the number of candidate pairs this
@@ -154,7 +154,7 @@ pub trait CandidateSource {
 /// strictly increasing `(left, right)` order (which implies deduplication)
 /// and in-bounds indices. Returns `AlemError::InvalidConfig` naming the
 /// source and the first offending pair otherwise. Property tests and the
-/// corpus builder use this so a buggy source fails loudly instead of
+/// corpus builds use this so a buggy source fails loudly instead of
 /// corrupting fingerprints downstream.
 pub fn collect_validated(
     source: &dyn CandidateSource,

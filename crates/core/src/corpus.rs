@@ -4,11 +4,11 @@
 //!
 //! Feature rows live in a [`FeatureStore`](crate::featurestore::FeatureStore)
 //! — flat and contiguous when built eagerly, memoized on-demand when built
-//! with [`Corpus::from_candidates_lazy_with`]. Boolean predicate rows are
+//! with [`Corpus::from_candidates_lazy`]. Boolean predicate rows are
 //! derived lazily from the continuous rows on first use, so runs that never
 //! touch the rule learner never pay for a second full matrix.
 
-use crate::candidates::CandidateSource;
+use crate::candidates::{collect_validated, CandidateSource};
 use crate::error::AlemError;
 use crate::features::FeatureExtractor;
 use crate::featurestore::FeatureStore;
@@ -35,7 +35,8 @@ enum BoolFeatures {
 #[derive(Debug, Clone)]
 pub struct Corpus {
     name: String,
-    pairs: Vec<Pair>,
+    /// Shared with a lazy store, which extracts rows from it.
+    pairs: Arc<Vec<Pair>>,
     store: FeatureStore,
     bool_features: BoolFeatures,
     truth: Vec<bool>,
@@ -47,7 +48,7 @@ pub struct Corpus {
 
 impl Corpus {
     /// Build a corpus from any [`CandidateSource`] — the paper's Jaccard
-    /// filter ([`crate::blocking::BlockingConfig`]), an `alem-block` index
+    /// filter (`alem_block::TokenIndex`), another `alem-block` index
     /// strategy, or anything else that streams deterministic sorted pairs
     /// — featurize eagerly, and attach ground truth. Returns the corpus and the
     /// (shared) extractor, whose feature descriptions the
@@ -72,8 +73,7 @@ impl Corpus {
         source: &dyn CandidateSource,
         par: &alem_par::Parallelism,
     ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
-        let pairs = source.collect_pairs(ds)?;
-        Corpus::from_pairs_eager(ds, pairs, par)
+        Corpus::from_stream(ds, source, Some(par))
     }
 
     /// Fully lazy corpus from any [`CandidateSource`]: candidate pairs
@@ -82,47 +82,33 @@ impl Corpus {
     /// the row is memoized for the corpus lifetime. Rows are
     /// bit-identical to the eager build; see
     /// [`Corpus::content_fingerprint`] for the one observable difference.
-    pub fn from_candidates_lazy_with(
+    pub fn from_candidates_lazy(
         ds: &EmDataset,
         source: &dyn CandidateSource,
-        _par: &alem_par::Parallelism,
     ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
-        let pairs = source.collect_pairs(ds)?;
-        Corpus::from_pairs_lazy(ds, pairs)
+        Corpus::from_stream(ds, source, None)
     }
 
-    /// Eagerly featurized corpus over an already-materialized pair list.
-    fn from_pairs_eager(
+    /// The one build body behind every extractor-backed corpus: collect
+    /// the candidate stream while checking its contract (sorted, no
+    /// duplicates, in bounds; otherwise `AlemError::InvalidConfig`),
+    /// build the extractor, featurize, and attach ground truth. Eager
+    /// and lazy builds differ only in the store: `Some(par)` scores
+    /// every row now, fanned out over `par`, straight into the flat
+    /// store; `None` leaves each row to its first read.
+    fn from_stream(
         ds: &EmDataset,
-        pairs: Vec<Pair>,
-        par: &alem_par::Parallelism,
+        source: &dyn CandidateSource,
+        eager: Option<&alem_par::Parallelism>,
     ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
+        let pairs = Arc::new(collect_validated(source, ds)?);
         let fx = Arc::new(FeatureExtractor::new(ds)?);
-        let store = FeatureStore::from_rows(fx.extract_all_with(&pairs, par));
-        let truth = pairs.iter().map(|&p| ds.is_match(p)).collect();
-        Ok((
-            Corpus {
-                name: ds.name.clone(),
-                pairs,
-                store,
-                bool_features: BoolFeatures::Derived {
-                    fx: Arc::clone(&fx),
-                    cell: OnceLock::new(),
-                },
-                truth,
-                bounded01: true,
-            },
-            fx,
-        ))
-    }
-
-    /// Lazily featurized corpus over an already-materialized pair list.
-    fn from_pairs_lazy(
-        ds: &EmDataset,
-        pairs: Vec<Pair>,
-    ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
-        let fx = Arc::new(FeatureExtractor::new(ds)?);
-        let store = FeatureStore::lazy(Arc::clone(&fx), pairs.clone());
+        let store = match eager {
+            Some(par) => {
+                FeatureStore::from_flat(fx.extract_all_with(&pairs, par), pairs.len(), fx.dim())
+            }
+            None => FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs)),
+        };
         let truth = pairs.iter().map(|&p| ds.is_match(p)).collect();
         Ok((
             Corpus {
@@ -142,14 +128,22 @@ impl Corpus {
 
     /// Build a corpus directly from feature vectors and labels (tests,
     /// docs, and workloads that skip the table layer).
+    ///
+    /// Every row must share the first row's dimensionality.
     // alem-lint: allow(flat-feature-store) -- caller-facing ingestion seam; rows are flattened into the store here
     pub fn from_features(features: Vec<Vec<f64>>, truth: Vec<bool>) -> Self {
         assert_eq!(features.len(), truth.len(), "feature/label mismatch");
-        let pairs = (0..features.len() as u32).map(|i| (i, 0)).collect();
+        let len = features.len();
+        let dim = features.first().map_or(0, Vec::len);
+        let mut flat = Vec::with_capacity(len * dim);
+        for row in features {
+            assert_eq!(row.len(), dim, "feature row dimensionality mismatch");
+            flat.extend_from_slice(&row);
+        }
         Corpus {
             name: "anonymous".into(),
-            pairs,
-            store: FeatureStore::from_rows(features),
+            pairs: Arc::new((0..len as u32).map(|i| (i, 0)).collect()),
+            store: FeatureStore::from_flat(flat, len, dim),
             bool_features: BoolFeatures::None,
             truth,
             bounded01: false,
@@ -313,7 +307,7 @@ impl Corpus {
                 // Lazy marker, then pair identities: content is defined by
                 // what would be extracted, not what has been.
                 eat_u64(&mut h, 0x4c41_5a59); // "LAZY"
-                for &(l, r) in self.store.lazy_pairs().unwrap_or(&[]) {
+                for &(l, r) in self.pairs.iter() {
                     eat_u64(&mut h, u64::from(l));
                     eat_u64(&mut h, u64::from(r));
                 }
@@ -376,8 +370,86 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::{AttrKind, Record, Schema, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Replays a fixed pair list, contract or not, as one chunk.
+    struct Replay(Vec<Pair>);
+
+    impl CandidateSource for Replay {
+        fn describe(&self) -> String {
+            format!("replay({:?})", self.0)
+        }
+        fn size_hint(&self, _ds: &EmDataset) -> (usize, Option<usize>) {
+            (self.0.len(), Some(self.0.len()))
+        }
+        fn stream(
+            &self,
+            _ds: &EmDataset,
+            sink: &mut dyn FnMut(&[Pair]) -> Result<(), AlemError>,
+        ) -> Result<(), AlemError> {
+            if self.0.is_empty() {
+                Ok(())
+            } else {
+                sink(&self.0)
+            }
+        }
+    }
+
+    /// Two records a side, one text attribute.
+    fn two_by_two() -> EmDataset {
+        let table = |name: &str, vals: [&str; 2]| {
+            let schema = Schema::new(vec![("name", AttrKind::Text)]);
+            let records = vals
+                .iter()
+                .map(|v| Record::new(vec![Some((*v).to_owned())]))
+                .collect();
+            Table::new(name, schema, records)
+        };
+        EmDataset {
+            left: table("l", ["apple ipod", "sony walkman"]),
+            right: table("r", ["apple ipod nano", "dell monitor"]),
+            matches: [(0, 0)].into_iter().collect(),
+            name: "toy".into(),
+        }
+    }
+
+    #[test]
+    fn empty_stream_keeps_the_extractor_width() {
+        let ds = two_by_two();
+        let (eager, fx) = Corpus::from_candidates(&ds, &Replay(Vec::new())).unwrap();
+        let (lazy, _) = Corpus::from_candidates_lazy(&ds, &Replay(Vec::new())).unwrap();
+        assert!(eager.is_empty() && lazy.is_empty());
+        assert_eq!(eager.dim(), fx.dim());
+        assert_eq!(lazy.dim(), fx.dim());
+    }
+
+    #[test]
+    fn builds_reject_streams_that_break_the_contract() {
+        let ds = two_by_two();
+        let ok = Replay(vec![(0, 0), (0, 1), (1, 1)]);
+        assert_eq!(Corpus::from_candidates(&ds, &ok).unwrap().0.len(), 3);
+        assert_eq!(Corpus::from_candidates_lazy(&ds, &ok).unwrap().0.len(), 3);
+        for bad in [
+            vec![(0, 2)],
+            vec![(2, 0)],
+            vec![(1, 1), (0, 0)],
+            vec![(1, 1), (0, 0), (0, 0)],
+            vec![(0, 0), (0, 0)],
+        ] {
+            let source = Replay(bad);
+            let eager = Corpus::from_candidates(&ds, &source).map(|_| ());
+            let lazy = Corpus::from_candidates_lazy(&ds, &source).map(|_| ());
+            for (build, got) in [("eager", eager), ("lazy", lazy)] {
+                assert!(
+                    matches!(got, Err(AlemError::InvalidConfig(_))),
+                    "{build} build of {} gave {got:?}",
+                    source.describe()
+                );
+            }
+        }
+    }
 
     fn toy(n: usize) -> Corpus {
         let features = (0..n).map(|i| vec![i as f64 / n as f64]).collect();

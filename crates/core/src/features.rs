@@ -173,13 +173,6 @@ impl FeatureExtractor {
         }
     }
 
-    /// The full feature row of `pair`, scored in `scratch`.
-    fn row_with(&self, pair: Pair, scratch: &mut Scratch) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.dim());
-        self.score_dims(pair, 0..self.dim(), scratch, |_, v| out.push(v));
-        out
-    }
-
     /// Number of continuous feature dimensions (21 × #attrs).
     pub fn dim(&self) -> usize {
         self.attr_names.len() * SimilarityFunction::ALL.len()
@@ -202,22 +195,24 @@ impl FeatureExtractor {
 
     /// Continuous feature vector for one candidate pair.
     pub fn extract_pair(&self, pair: Pair) -> Vec<f64> {
-        self.row_with(pair, &mut Scratch::default())
+        self.extract_all_with(&[pair], &alem_par::Parallelism::sequential())
     }
 
-    /// Continuous feature matrix for a pair list, fanned out over worker
-    /// threads with one [`Scratch`] per chunk. Rows come back in pair
-    /// order regardless of thread count, so the resulting corpus (and
-    /// every fingerprint downstream of it) is identical to the sequential
-    /// build.
-    // alem-lint: allow(flat-feature-store) -- extraction seam; rows are flattened into FeatureStore by the corpus builders
-    pub fn extract_all_with(&self, pairs: &[Pair], par: &alem_par::Parallelism) -> Vec<Vec<f64>> {
+    /// Continuous feature matrix for a pair list, row-major: row `i`
+    /// (the features of `pairs[i]`) is `[i * dim .. (i + 1) * dim]`.
+    /// Work fans out over worker threads; each chunk scores into one
+    /// buffer through one [`Scratch`], and the buffers join in pair
+    /// order, so the matrix (and every fingerprint downstream of it) is
+    /// identical to the sequential build. With one thread the chunk's
+    /// buffer is the matrix, with no copy.
+    pub fn extract_all_with(&self, pairs: &[Pair], par: &alem_par::Parallelism) -> Vec<f64> {
         par.map_chunks(pairs, |chunk| {
             let mut scratch = Scratch::default();
-            chunk
-                .iter()
-                .map(|&p| self.row_with(p, &mut scratch))
-                .collect()
+            let mut flat = Vec::with_capacity(chunk.len() * self.dim());
+            for &p in chunk {
+                self.score_dims(p, 0..self.dim(), &mut scratch, |_, v| flat.push(v));
+            }
+            flat
         })
     }
 

@@ -48,7 +48,7 @@ enum Backing {
     /// Memoized on-demand extraction; `rows[i]` fills on first access.
     Lazy {
         fx: Arc<FeatureExtractor>,
-        pairs: Vec<Pair>,
+        pairs: Arc<Vec<Pair>>,
         rows: Vec<OnceLock<Box<[f64]>>>,
         /// Per-(row, dim) memo for partial reads on rows that have never
         /// been fully materialized. A cell holds the sanitized feature's
@@ -76,19 +76,12 @@ pub struct FeatureStore {
 }
 
 impl FeatureStore {
-    /// Build an eager store from per-pair rows, flattening them into one
-    /// contiguous allocation and sanitizing non-finite values.
-    ///
-    /// Every row must share the first row's dimensionality.
-    // alem-lint: allow(flat-feature-store) -- the one ingestion seam where nested rows become the flat store
-    pub fn from_rows(rows: Vec<Vec<f64>>) -> Self {
-        let len = rows.len();
-        let dim = rows.first().map_or(0, Vec::len);
-        let mut flat = Vec::with_capacity(len * dim);
-        for row in &rows {
-            assert_eq!(row.len(), dim, "feature row dimensionality mismatch");
-            flat.extend_from_slice(row);
-        }
+    /// Build an eager store over a row-major matrix of `len` rows of
+    /// `dim` values each (row `i` at `flat[i * dim..(i + 1) * dim]`),
+    /// sanitizing non-finite values in place. The buffer becomes the
+    /// store; nothing is copied.
+    pub fn from_flat(mut flat: Vec<f64>, len: usize, dim: usize) -> Self {
+        assert_eq!(flat.len(), len * dim, "flat matrix is not len × dim");
         let sanitized = sanitize_row(&mut flat);
         FeatureStore {
             backing: Backing::Eager { flat },
@@ -100,9 +93,10 @@ impl FeatureStore {
         }
     }
 
-    /// Build a lazy store: no row is extracted until first accessed, and
-    /// each materialized row is memoized for the store's lifetime.
-    pub fn lazy(fx: Arc<FeatureExtractor>, pairs: Vec<Pair>) -> Self {
+    /// Build a lazy store over `pairs`, shared with the corpus that owns
+    /// them: no row is extracted until first accessed, and each
+    /// materialized row is memoized for the store's lifetime.
+    pub fn lazy(fx: Arc<FeatureExtractor>, pairs: Arc<Vec<Pair>>) -> Self {
         let len = pairs.len();
         let dim = fx.dim();
         let rows = (0..len).map(|_| OnceLock::new()).collect();
@@ -375,14 +369,6 @@ impl FeatureStore {
             Backing::Lazy { .. } => None,
         }
     }
-
-    /// Pair list backing a lazy store (`None` when eager).
-    pub fn lazy_pairs(&self) -> Option<&[Pair]> {
-        match &self.backing {
-            Backing::Lazy { pairs, .. } => Some(pairs),
-            Backing::Eager { .. } => None,
-        }
-    }
 }
 
 impl Clone for FeatureStore {
@@ -396,7 +382,7 @@ impl Clone for FeatureStore {
                 partials,
             } => Backing::Lazy {
                 fx: Arc::clone(fx),
-                pairs: pairs.clone(),
+                pairs: Arc::clone(pairs),
                 rows: rows.clone(),
                 partials: partials
                     .iter()
@@ -466,7 +452,7 @@ mod tests {
     use super::*;
     use crate::schema::{AttrKind, EmDataset, Record, Schema, Table};
 
-    fn toy_fx() -> (Arc<FeatureExtractor>, Vec<Pair>) {
+    fn toy_fx() -> (Arc<FeatureExtractor>, Arc<Vec<Pair>>) {
         let schema = Schema::new(vec![("name", AttrKind::Text)]);
         let l = Table::new(
             "l",
@@ -490,27 +476,27 @@ mod tests {
             matches: [(0u32, 0u32)].into_iter().collect(),
             name: "toy".into(),
         };
-        let pairs = vec![(0, 0), (0, 1), (1, 0), (1, 1)];
+        let pairs = Arc::new(vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
         (Arc::new(FeatureExtractor::new(&ds).unwrap()), pairs)
     }
 
     #[test]
     fn eager_rows_round_trip_flat() {
-        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
-        let store = FeatureStore::from_rows(rows.clone());
+        let flat = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let store = FeatureStore::from_flat(flat.clone(), 3, 2);
         assert_eq!(store.len(), 3);
         assert_eq!(store.dim(), 2);
         assert!(!store.is_lazy());
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(store.row(i), row.as_slice());
+        for (i, row) in flat.chunks(2).enumerate() {
+            assert_eq!(store.row(i), row);
             assert_eq!(store.dim_value(i, 1), row[1]);
         }
-        assert_eq!(store.flat().unwrap(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(store.flat().unwrap(), flat.as_slice());
     }
 
     #[test]
     fn eager_sanitizes_and_counts() {
-        let store = FeatureStore::from_rows(vec![vec![f64::NAN, 1.0], vec![0.5, f64::INFINITY]]);
+        let store = FeatureStore::from_flat(vec![f64::NAN, 1.0, 0.5, f64::INFINITY], 2, 2);
         assert_eq!(store.sanitized_count(), 2);
         assert_eq!(store.row(0), &[0.0, 1.0]);
         assert_eq!(store.row(1), &[0.5, 0.0]);
@@ -519,10 +505,12 @@ mod tests {
     #[test]
     fn lazy_rows_match_eager_bit_for_bit() {
         let (fx, pairs) = toy_fx();
-        let eager = FeatureStore::from_rows(
+        let eager = FeatureStore::from_flat(
             fx.extract_all_with(&pairs, &alem_par::Parallelism::sequential()),
+            pairs.len(),
+            fx.dim(),
         );
-        let lazy = FeatureStore::lazy(Arc::clone(&fx), pairs.clone());
+        let lazy = FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs));
         assert_eq!(lazy.len(), eager.len());
         assert_eq!(lazy.dim(), eager.dim());
         for i in 0..pairs.len() {
@@ -556,7 +544,7 @@ mod tests {
     #[test]
     fn dims_view_agrees_with_full_rows() {
         let (fx, pairs) = toy_fx();
-        let store = FeatureStore::lazy(Arc::clone(&fx), pairs.clone());
+        let store = FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs));
         let view = store.select_dims(vec![3, 0, 7]);
         let weights = [0.25, -1.5, 2.0];
         for (i, &pair) in pairs.iter().enumerate() {
@@ -575,7 +563,7 @@ mod tests {
     #[test]
     fn partial_reads_memoize_without_materializing() {
         let (fx, pairs) = toy_fx();
-        let store = FeatureStore::lazy(Arc::clone(&fx), pairs.clone());
+        let store = FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs));
         let first = store.dim_value(1, 3);
         assert_eq!(first.to_bits(), fx.compute_dim(pairs[1], 3).to_bits());
         assert_eq!(store.partial_cells_filled(), 1);

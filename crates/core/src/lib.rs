@@ -16,9 +16,10 @@
 //!
 //! 1. [`schema`] describes the two tables to match; a
 //!    [`candidates::CandidateSource`] streams candidate pairs out of the
-//!    Cartesian product — [`blocking`] is the paper's offline Jaccard token
-//!    filter, and the `alem-block` crate adds scale-out index strategies
-//!    with recall/reduction-ratio reporting ([`candidates::BlockingReport`]).
+//!    Cartesian product — the `alem-block` crate implements the paper's
+//!    offline Jaccard token filter and the other index strategies, and
+//!    [`candidates::BlockingReport`] measures their recall and reduction
+//!    ratio.
 //! 2. [`features`] turns each candidate pair into a dense feature vector (21
 //!    similarity functions × aligned attributes) and, for the rule learner,
 //!    a Boolean predicate vector; [`corpus::Corpus`] bundles the pair
@@ -63,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocking;
 pub mod candidates;
 pub mod corpus;
 pub mod ensemble;

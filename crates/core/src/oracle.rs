@@ -636,60 +636,6 @@ impl AnswerKey {
     }
 }
 
-/// Adapter that decouples *requesting* a label from *consuming* it,
-/// turning any blocking [`QueryOracle`] into an asynchronous answer
-/// source for a [`crate::session::SessionMachine`].
-///
-/// [`AsyncAnswerer::request`] resolves the inner oracle immediately (with
-/// the adapter's [`RetryPolicy`]) and buffers the `(example, answer)`
-/// pair; [`AsyncAnswerer::take`] drains buffered answers in an arbitrary,
-/// caller-controlled order. Because the machine applies a batch wave only
-/// once complete — keyed by example, not arrival — the buffer may be
-/// drained out of order, partially, or with duplicates without affecting
-/// the run's fingerprint.
-pub struct AsyncAnswerer<O: QueryOracle> {
-    inner: O,
-    retry: RetryPolicy,
-    ready: Mutex<Vec<(usize, OracleAnswer)>>,
-}
-
-impl<O: QueryOracle> AsyncAnswerer<O> {
-    /// Wrap `inner`, answering requests through `retry`.
-    pub fn new(inner: O, retry: RetryPolicy) -> Self {
-        AsyncAnswerer {
-            inner,
-            retry,
-            ready: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Resolve the label for `example` now and buffer it for later
-    /// consumption. Errors if the inner oracle stays unavailable past the
-    /// retry budget.
-    pub fn request(&self, example: usize) -> Result<(), AlemError> {
-        let answer = self.retry.query(&self.inner, example)?;
-        self.ready.lock().push((example, answer));
-        Ok(())
-    }
-
-    /// Pop one buffered answer, newest first (LIFO — deliberately *not*
-    /// request order, so default consumption already exercises the
-    /// machine's order invariance). `None` when the buffer is empty.
-    pub fn take(&self) -> Option<(usize, OracleAnswer)> {
-        self.ready.lock().pop()
-    }
-
-    /// Buffered answers not yet taken.
-    pub fn ready_len(&self) -> usize {
-        self.ready.lock().len()
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -955,37 +901,5 @@ mod tests {
 
         assert!(AnswerKey::new(1, 1.5, 0.0).is_err());
         assert!(AnswerKey::new(1, 0.0, -0.1).is_err());
-    }
-
-    #[test]
-    fn async_answerer_buffers_and_drains_out_of_order() {
-        let truths: Vec<bool> = (0..50).map(|i| i % 2 == 0).collect();
-        let oracle = Oracle::perfect(truths.clone());
-        let answerer = AsyncAnswerer::new(oracle, RetryPolicy::none());
-        for i in 0..10 {
-            answerer.request(i).unwrap();
-        }
-        assert_eq!(answerer.ready_len(), 10);
-        // LIFO drain: last requested comes out first, values still correct.
-        let mut seen = Vec::new();
-        while let Some((i, a)) = answerer.take() {
-            assert_eq!(a, OracleAnswer::Label(truths[i]));
-            seen.push(i);
-        }
-        assert_eq!(seen, (0..10).rev().collect::<Vec<_>>());
-        assert_eq!(answerer.inner().queries(), 10);
-        assert!(answerer.take().is_none());
-    }
-
-    #[test]
-    fn async_answerer_surfaces_exhausted_retries() {
-        let oracle = TransientOracle::new(Oracle::perfect(vec![true; 4]), 0.0, 1).unwrap();
-        oracle.script_failures(5);
-        let answerer = AsyncAnswerer::new(oracle, RetryPolicy::none());
-        assert!(matches!(
-            answerer.request(0),
-            Err(AlemError::OracleUnavailable { .. })
-        ));
-        assert_eq!(answerer.ready_len(), 0);
     }
 }

@@ -6,7 +6,7 @@
 //! `HashMap` iteration order varies per process, so per-run identity can
 //! hold while cross-run identity silently breaks.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::{CandidateSource, TokenIndex};
 use alem_core::corpus::Corpus;
 use alem_core::learner::SvmTrainer;
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
@@ -75,11 +75,9 @@ fn synthetic_dataset(n: usize) -> EmDataset {
 #[test]
 fn blocking_emits_identical_pairs_across_runs() {
     let ds = synthetic_dataset(120);
-    let cfg = BlockingConfig {
-        jaccard_threshold: 0.3,
-    };
-    let first = cfg.block(&ds);
-    let second = cfg.block(&ds);
+    let cfg = TokenIndex::builder().threshold(0.3).build();
+    let first = cfg.collect_pairs(&ds).unwrap();
+    let second = cfg.collect_pairs(&ds).unwrap();
     assert!(!first.is_empty(), "blocking pruned everything");
     assert_eq!(first, second, "blocking must be run-order independent");
 }
@@ -102,9 +100,7 @@ fn fingerprint_of_run(corpus: &Corpus, seed: u64) -> String {
 #[test]
 fn end_to_end_fingerprint_is_stable_across_identical_runs() {
     let ds = synthetic_dataset(120);
-    let cfg = BlockingConfig {
-        jaccard_threshold: 0.2,
-    };
+    let cfg = TokenIndex::builder().threshold(0.2).build();
     // Rebuild the corpus from scratch both times so the whole path —
     // blocking, featurization, session — is exercised twice.
     let (corpus_a, _) = Corpus::from_candidates(&ds, &cfg).unwrap();
@@ -121,7 +117,7 @@ fn end_to_end_fingerprint_is_stable_across_identical_runs() {
 #[test]
 fn tree_strategy_fingerprint_is_stable_across_identical_runs() {
     let ds = synthetic_dataset(120);
-    let (corpus, _) = Corpus::from_candidates(&ds, &BlockingConfig::default()).unwrap();
+    let (corpus, _) = Corpus::from_candidates(&ds, &TokenIndex::builder().build()).unwrap();
     let oracle = Oracle::perfect(corpus.truths().to_vec());
     let params = LoopParams {
         seed_size: 16,

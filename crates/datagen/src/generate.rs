@@ -85,7 +85,16 @@ pub fn generate(cfg: &GenConfig, seed: u64) -> EmDataset {
 mod tests {
     use super::*;
     use crate::configs::PaperDataset;
-    use alem_core::blocking::{stats, BlockingConfig};
+    use alem_block::{BlockingReport, TokenIndex};
+
+    /// Blocking report of `ds` through the paper's Jaccard filter at
+    /// `threshold`, with its class skew (true matches per candidate).
+    fn blocked(ds: &EmDataset, threshold: f64) -> (BlockingReport, f64) {
+        let index = TokenIndex::builder().threshold(threshold).build();
+        let report = BlockingReport::compute(&index, ds, None).unwrap();
+        let skew = report.matches_retained as f64 / report.candidates.max(1) as f64;
+        (report, skew)
+    }
 
     #[test]
     fn generates_one_mention_per_table_per_entity() {
@@ -113,21 +122,12 @@ mod tests {
         // Family construction should land within ~2x of the paper's skew.
         let cfg = PaperDataset::DblpAcm.config(0.1);
         let ds = generate(&cfg, 7);
-        let pairs = BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        }
-        .block(&ds);
-        let s = stats(&ds, &pairs);
-        assert!(
-            s.post_blocking_pairs > 100,
-            "too few pairs: {}",
-            s.post_blocking_pairs
-        );
+        let (r, skew) = blocked(&ds, cfg.blocking_threshold);
+        assert!(r.candidates > 100, "too few pairs: {}", r.candidates);
         let paper = PaperDataset::DblpAcm.paper_skew();
         assert!(
-            s.class_skew > paper * 0.4 && s.class_skew < paper * 2.5,
-            "skew {:.3} too far from paper {paper:.3}",
-            s.class_skew
+            skew > paper * 0.4 && skew < paper * 2.5,
+            "skew {skew:.3} too far from paper {paper:.3}"
         );
     }
 
@@ -138,28 +138,19 @@ mod tests {
             let cfg = d.config(0.05);
             let ds = generate(&cfg, 11);
             assert_eq!(ds.left.schema(), ds.right.schema(), "{}", d.name());
-            let pairs = BlockingConfig {
-                jaccard_threshold: cfg.blocking_threshold,
-            }
-            .block(&ds);
-            let s = stats(&ds, &pairs);
+            let (r, skew) = blocked(&ds, cfg.blocking_threshold);
+            assert!(r.candidates > 0, "{}: blocking produced nothing", d.name());
             assert!(
-                s.post_blocking_pairs > 0,
-                "{}: blocking produced nothing",
-                d.name()
-            );
-            assert!(
-                s.matches_retained * 3 >= s.matches_total,
+                r.matches_retained * 3 >= r.matches_total,
                 "{}: lost too many matches ({}/{})",
                 d.name(),
-                s.matches_retained,
-                s.matches_total
+                r.matches_retained,
+                r.matches_total
             );
             assert!(
-                s.class_skew > 0.01 && s.class_skew < 0.6,
-                "{}: implausible skew {:.3}",
-                d.name(),
-                s.class_skew
+                skew > 0.01 && skew < 0.6,
+                "{}: implausible skew {skew:.3}",
+                d.name()
             );
         }
     }
@@ -168,15 +159,11 @@ mod tests {
     fn most_matches_survive_blocking() {
         let cfg = PaperDataset::AbtBuy.config(0.1);
         let ds = generate(&cfg, 7);
-        let pairs = BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        }
-        .block(&ds);
-        let s = stats(&ds, &pairs);
+        let (r, _) = blocked(&ds, cfg.blocking_threshold);
         // Heavy product-domain perturbation loses some true matches at the
         // blocking step, as on the real datasets; progressive F1 is
         // evaluated over post-blocking pairs, so this only affects realism.
-        let retention = s.matches_retained as f64 / s.matches_total as f64;
+        let retention = r.recall;
         assert!(retention > 0.4, "only {retention:.2} of matches retained");
     }
 }

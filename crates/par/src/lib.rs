@@ -102,12 +102,14 @@ impl Parallelism {
 
     /// Deterministic parallel map over whole chunks: `f` receives each
     /// chunk of `items` (boundaries from [`chunks`]`(items.len(),
-    /// self.threads())`) and returns one output per item of it; outputs
-    /// are concatenated in chunk order. This lets `f` set up once per
-    /// chunk and work on several items at a time. The result equals
-    /// `f(items)` for any thread count as long as `f`'s output for an
-    /// item does not depend on which other items share its chunk. With
-    /// one thread (or fewer than two items) no thread is spawned.
+    /// self.threads())`) and returns the outputs of its items (usually
+    /// one per item; a fixed number per item, such as a row-major block,
+    /// works the same way); outputs are concatenated in chunk order. This
+    /// lets `f` set up once per chunk and work on several items at a
+    /// time. The result equals `f(items)` for any thread count as long as
+    /// `f`'s output for an item does not depend on which other items
+    /// share its chunk. With one thread (or fewer than two items) no
+    /// thread is spawned and `f(items)` is returned as is.
     ///
     /// A panic in `f` is propagated to the caller after all workers join.
     pub fn map_chunks<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
@@ -135,7 +137,7 @@ impl Parallelism {
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-        let mut out = Vec::with_capacity(items.len());
+        let mut out = Vec::with_capacity(chunk_results.iter().map(Vec::len).sum());
         for c in chunk_results {
             out.extend(c);
         }

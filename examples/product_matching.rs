@@ -10,6 +10,7 @@
 //! cargo run --release -p alem-bench --example product_matching
 //! ```
 
+use alem_block::TokenIndex;
 use alem_core::prelude::*;
 use alem_core::report::TableReport;
 use datagen::PaperDataset;
@@ -38,11 +39,11 @@ fn run_one<S: Strategy>(corpus: &Corpus, strategy: S, noise: f64) -> Vec<String>
 fn main() {
     let gen_cfg = PaperDataset::AbtBuy.config(0.25);
     let dataset = datagen::generate(&gen_cfg, 42);
-    let blocking = BlockingConfig {
-        jaccard_threshold: gen_cfg.blocking_threshold,
-    };
-    let (corpus, _fx) =
-        Corpus::from_candidates(&dataset, &blocking).expect("valid blocking config");
+    let blocking = TokenIndex::builder()
+        .threshold(gen_cfg.blocking_threshold)
+        .build();
+    let (corpus, _fx) = Corpus::from_candidates(&dataset, &blocking)
+        .expect("the token index streams valid candidates");
     println!(
         "Abt-Buy-like catalog: {} candidate pairs, skew {:.3}\n",
         corpus.len(),

@@ -11,17 +11,18 @@
 //! cargo run --release -p alem-bench --example publication_dedup
 //! ```
 
+use alem_block::TokenIndex;
 use alem_core::prelude::*;
 use datagen::PaperDataset;
 
 fn main() {
     let gen_cfg = PaperDataset::DblpAcm.config(0.5);
     let dataset = datagen::generate(&gen_cfg, 42);
-    let blocking = BlockingConfig {
-        jaccard_threshold: gen_cfg.blocking_threshold,
-    };
-    let (corpus, _fx) =
-        Corpus::from_candidates(&dataset, &blocking).expect("valid blocking config");
+    let blocking = TokenIndex::builder()
+        .threshold(gen_cfg.blocking_threshold)
+        .build();
+    let (corpus, _fx) = Corpus::from_candidates(&dataset, &blocking)
+        .expect("the token index streams valid candidates");
     println!(
         "bibliographic corpus: {} candidate pairs, skew {:.3}\n",
         corpus.len(),

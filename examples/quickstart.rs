@@ -9,6 +9,7 @@
 //! cargo run --release -p alem-bench --example quickstart
 //! ```
 
+use alem_block::TokenIndex;
 use alem_core::prelude::*;
 use datagen::PaperDataset;
 
@@ -24,11 +25,11 @@ fn main() {
     );
 
     // 2. Block the Cartesian product and extract 21-similarity features.
-    let blocking = BlockingConfig {
-        jaccard_threshold: gen_cfg.blocking_threshold,
-    };
-    let (corpus, _extractor) =
-        Corpus::from_candidates(&dataset, &blocking).expect("valid blocking config");
+    let blocking = TokenIndex::builder()
+        .threshold(gen_cfg.blocking_threshold)
+        .build();
+    let (corpus, _extractor) = Corpus::from_candidates(&dataset, &blocking)
+        .expect("the token index streams valid candidates");
     println!(
         "post-blocking pairs: {} (skew {:.3}, {} feature dims)",
         corpus.len(),

@@ -6,7 +6,7 @@
 //! `Prepared` per table cell; any rewrite of the similarity kernels or of
 //! the extractor must reproduce them bit for bit, at any thread count.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
 use alem_core::schema::EmDataset;
 use alem_par::Parallelism;
@@ -41,9 +41,7 @@ const SOCIAL_PIN: u64 = 0x728b_1037_ef19_534e;
 /// Eager fingerprints of `ds` blocked at `threshold`, built sequentially
 /// and on three threads; both must agree before either is compared.
 fn fingerprint(ds: &EmDataset, threshold: f64) -> u64 {
-    let blocking = BlockingConfig {
-        jaccard_threshold: threshold,
-    };
+    let blocking = TokenIndex::builder().threshold(threshold).build();
     let build = |par: &Parallelism| {
         let (corpus, _) =
             Corpus::from_candidates_with(ds, &blocking, par).expect("blocking streams pairs");
@@ -94,12 +92,12 @@ fn lazy_fills_match_eager_rows() {
     for dataset in datagen::configs::ALL_DATASETS {
         let cfg = dataset.config(SCALE);
         let ds = datagen::generate(&cfg, SEED);
-        let blocking = BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        };
+        let blocking = TokenIndex::builder()
+            .threshold(cfg.blocking_threshold)
+            .build();
         let seq = Parallelism::sequential();
         let (eager, _) = Corpus::from_candidates_with(&ds, &blocking, &seq).expect("eager");
-        let (lazy, _) = Corpus::from_candidates_lazy_with(&ds, &blocking, &seq).expect("lazy");
+        let (lazy, _) = Corpus::from_candidates_lazy(&ds, &blocking).expect("lazy");
         let dim = eager.dim();
         for i in 0..eager.len() {
             match i % 3 {

@@ -9,7 +9,7 @@
 //! builder mode, so a refactor of the selection layer shows any change
 //! in what a session labels or how a pool scores.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
 use alem_core::ensemble::ActiveEnsembleStrategy;
 use alem_core::learner::{DnfTrainer, NnTrainer, SvmTrainer};
@@ -41,9 +41,9 @@ const MARGIN_SCORES_DIGEST: u64 = 0x59de_0b09_e36c_6b72;
 fn corpus() -> Corpus {
     let cfg = PaperDataset::Cora.config(0.02);
     let ds = datagen::generate(&cfg, 42);
-    let blocking = BlockingConfig {
-        jaccard_threshold: cfg.blocking_threshold,
-    };
+    let blocking = TokenIndex::builder()
+        .threshold(cfg.blocking_threshold)
+        .build();
     Corpus::from_candidates(&ds, &blocking)
         .expect("blocking streams valid candidates")
         .0

@@ -6,7 +6,7 @@
 //! Kept at small scale so the suite stays fast; the bench harness
 //! (`figures all`) reproduces the same shapes at larger scales.
 
-use alem_core::blocking::BlockingConfig;
+use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
 use alem_core::evaluator::RunResult;
 use alem_core::learner::{DnfTrainer, SvmTrainer};
@@ -22,9 +22,9 @@ fn corpus(d: PaperDataset, scale: f64) -> Corpus {
     let ds = datagen::generate(&cfg, 42);
     let (corpus, _) = Corpus::from_candidates(
         &ds,
-        &BlockingConfig {
-            jaccard_threshold: cfg.blocking_threshold,
-        },
+        &TokenIndex::builder()
+            .threshold(cfg.blocking_threshold)
+            .build(),
     )
     .unwrap();
     corpus
