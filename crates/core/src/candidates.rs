@@ -334,12 +334,13 @@ impl BlockingReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::schema::{AttrKind, Record, Schema, Table};
 
-    /// A source that replays a fixed pair list in fixed-size chunks.
-    struct Fixed(Vec<Pair>, usize);
+    /// A source that replays a fixed pair list, contract or not, in
+    /// fixed-size chunks.
+    pub(crate) struct Fixed(pub(crate) Vec<Pair>, pub(crate) usize);
 
     impl CandidateSource for Fixed {
         fn describe(&self) -> String {
@@ -360,7 +361,9 @@ mod tests {
         }
     }
 
-    fn dataset() -> EmDataset {
+    /// Three left and four right records over two text attributes;
+    /// `(i, i)` matches for `i < 3`.
+    pub(crate) fn dataset() -> EmDataset {
         let schema = Schema::new(vec![("name", AttrKind::Text), ("group", AttrKind::Text)]);
         let rec = |n: &str, g: &str| Record::new(vec![Some(n.into()), Some(g.into())]);
         EmDataset {

@@ -370,56 +370,15 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{AttrKind, Record, Schema, Table};
+    use crate::candidates::tests::{dataset, Fixed};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Replays a fixed pair list, contract or not, as one chunk.
-    struct Replay(Vec<Pair>);
-
-    impl CandidateSource for Replay {
-        fn describe(&self) -> String {
-            format!("replay({:?})", self.0)
-        }
-        fn size_hint(&self, _ds: &EmDataset) -> (usize, Option<usize>) {
-            (self.0.len(), Some(self.0.len()))
-        }
-        fn stream(
-            &self,
-            _ds: &EmDataset,
-            sink: &mut dyn FnMut(&[Pair]) -> Result<(), AlemError>,
-        ) -> Result<(), AlemError> {
-            if self.0.is_empty() {
-                Ok(())
-            } else {
-                sink(&self.0)
-            }
-        }
-    }
-
-    /// Two records a side, one text attribute.
-    fn two_by_two() -> EmDataset {
-        let table = |name: &str, vals: [&str; 2]| {
-            let schema = Schema::new(vec![("name", AttrKind::Text)]);
-            let records = vals
-                .iter()
-                .map(|v| Record::new(vec![Some((*v).to_owned())]))
-                .collect();
-            Table::new(name, schema, records)
-        };
-        EmDataset {
-            left: table("l", ["apple ipod", "sony walkman"]),
-            right: table("r", ["apple ipod nano", "dell monitor"]),
-            matches: [(0, 0)].into_iter().collect(),
-            name: "toy".into(),
-        }
-    }
-
     #[test]
     fn empty_stream_keeps_the_extractor_width() {
-        let ds = two_by_two();
-        let (eager, fx) = Corpus::from_candidates(&ds, &Replay(Vec::new())).unwrap();
-        let (lazy, _) = Corpus::from_candidates_lazy(&ds, &Replay(Vec::new())).unwrap();
+        let ds = dataset();
+        let (eager, fx) = Corpus::from_candidates(&ds, &Fixed(Vec::new(), 1)).unwrap();
+        let (lazy, _) = Corpus::from_candidates_lazy(&ds, &Fixed(Vec::new(), 1)).unwrap();
         assert!(eager.is_empty() && lazy.is_empty());
         assert_eq!(eager.dim(), fx.dim());
         assert_eq!(lazy.dim(), fx.dim());
@@ -427,25 +386,25 @@ mod tests {
 
     #[test]
     fn builds_reject_streams_that_break_the_contract() {
-        let ds = two_by_two();
-        let ok = Replay(vec![(0, 0), (0, 1), (1, 1)]);
+        let ds = dataset();
+        let ok = Fixed(vec![(0, 0), (0, 1), (1, 1)], 2);
         assert_eq!(Corpus::from_candidates(&ds, &ok).unwrap().0.len(), 3);
         assert_eq!(Corpus::from_candidates_lazy(&ds, &ok).unwrap().0.len(), 3);
         for bad in [
-            vec![(0, 2)],
-            vec![(2, 0)],
+            vec![(0, 4)],
+            vec![(3, 0)],
             vec![(1, 1), (0, 0)],
             vec![(1, 1), (0, 0), (0, 0)],
             vec![(0, 0), (0, 0)],
         ] {
-            let source = Replay(bad);
+            let source = Fixed(bad, 2);
             let eager = Corpus::from_candidates(&ds, &source).map(|_| ());
             let lazy = Corpus::from_candidates_lazy(&ds, &source).map(|_| ());
             for (build, got) in [("eager", eager), ("lazy", lazy)] {
                 assert!(
                     matches!(got, Err(AlemError::InvalidConfig(_))),
-                    "{build} build of {} gave {got:?}",
-                    source.describe()
+                    "{build} build of {:?} gave {got:?}",
+                    source.0
                 );
             }
         }
