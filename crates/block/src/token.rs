@@ -167,6 +167,12 @@ impl CandidateSource for TokenIndex {
 }
 
 #[cfg(test)]
+/// The sequential Jaccard probe the integration tests also compare
+/// against.
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use alem_core::schema::{AttrKind, Record, Schema, Table};
@@ -198,6 +204,20 @@ mod tests {
             .build()
             .collect_pairs(&dataset())
             .unwrap()
+    }
+
+    /// Uncapped, the index keeps exactly the pairs of the sequential
+    /// core Jaccard filter, at every threshold.
+    #[test]
+    fn uncapped_matches_core_blocking() {
+        let ds = dataset();
+        for t in [0.0, 0.1, 0.4, 0.99] {
+            assert_eq!(
+                pairs(t),
+                super::oracle::jaccard_pairs(&ds, t),
+                "threshold {t}"
+            );
+        }
     }
 
     #[test]
