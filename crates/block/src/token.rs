@@ -244,6 +244,15 @@ mod tests {
     }
 
     #[test]
+    fn output_is_sorted_and_unique() {
+        let pairs = pairs(0.1);
+        let mut sorted = pairs.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(pairs, sorted);
+    }
+
+    #[test]
     fn fingerprint_tracks_threshold() {
         let ds = dataset();
         let lo = TokenIndex::builder().threshold(0.1).build();
