@@ -622,6 +622,32 @@ mod tests {
     }
 
     #[test]
+    fn resume_with_a_short_oracle_is_rejected() {
+        let c = corpus(300);
+        let path = tmp_path("short-oracle-resume");
+        let halted_cfg = SessionConfig {
+            checkpoint_path: Some(path.clone()),
+            halt_after: Some(3),
+            ..SessionConfig::default()
+        };
+        let oracle = Oracle::perfect(c.truths().to_vec());
+        let mut al = ActiveLearner::new(MarginSvmStrategy::new(SvmTrainer::default()), params());
+        assert!(matches!(
+            al.run_session(&c, &oracle, 17, &halted_cfg),
+            Ok(SessionOutcome::Halted { .. })
+        ));
+
+        let ckpt = Checkpoint::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let short = Oracle::perfect(vec![true; 10]); // covers too little
+        let mut al2 = ActiveLearner::new(MarginSvmStrategy::new(SvmTrainer::default()), params());
+        assert!(matches!(
+            al2.resume_session(&c, &short, ckpt, &SessionConfig::default()),
+            Err(AlemError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
     fn transient_failures_with_retry_complete_the_budget() {
         let c = corpus(300);
         // 20% failure rate, 5 attempts: P(5 consecutive failures) = 0.032%
