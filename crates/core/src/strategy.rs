@@ -1675,6 +1675,142 @@ mod tests {
         assert_eq!(s.name(), "Trees(10)");
     }
 
+    /// Overrides every provided [`Strategy`] method and records which ran,
+    /// so a pointer forwarder that misses one (and silently runs the
+    /// default) is caught.
+    struct Probe(std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>);
+
+    impl Probe {
+        fn hit(&self, method: &'static str) {
+            self.0.lock().unwrap().push(method);
+        }
+    }
+
+    impl Strategy for Probe {
+        fn name(&self) -> String {
+            "Probe".into()
+        }
+
+        fn fit(
+            &mut self,
+            _: &Corpus,
+            _: &[(usize, bool)],
+            _: &mut StdRng,
+        ) -> Result<(), AlemError> {
+            Ok(())
+        }
+
+        fn select(
+            &mut self,
+            _: &Corpus,
+            _: &[(usize, bool)],
+            _: &[usize],
+            _: usize,
+            _: &mut StdRng,
+            _: &Registry,
+        ) -> Selection {
+            self.hit("select");
+            Selection::default()
+        }
+
+        fn score_pool(&self, _: &Corpus, _: &[usize]) -> Result<Vec<f64>, AlemError> {
+            self.hit("score_pool");
+            Ok(Vec::new())
+        }
+
+        fn set_parallelism(&mut self, _: Parallelism) {
+            self.hit("set_parallelism");
+        }
+
+        fn predict(&self, _: &Corpus, _: usize) -> bool {
+            false
+        }
+
+        fn stats(&self) -> StrategyStats {
+            self.hit("stats");
+            StrategyStats::default()
+        }
+
+        fn terminated(&self) -> bool {
+            self.hit("terminated");
+            false
+        }
+
+        fn post_label(
+            &mut self,
+            _: &Corpus,
+            _: &[(usize, bool)],
+            _: &mut Vec<(usize, bool)>,
+            _: &mut Vec<usize>,
+            _: &mut StdRng,
+            _: &Registry,
+        ) {
+            self.hit("post_label");
+        }
+
+        fn saved_model(&self) -> Option<crate::model_io::SavedModel> {
+            self.hit("saved_model");
+            None
+        }
+
+        fn warm_state(&self) -> Option<crate::model_io::WarmState> {
+            self.hit("warm_state");
+            None
+        }
+
+        fn restore_warm_state(&mut self, _: crate::model_io::WarmState) {
+            self.hit("restore_warm_state");
+        }
+    }
+
+    /// Call every provided method of `s` once.
+    fn call_provided<S: Strategy>(mut s: S, c: &Corpus) {
+        let mut rng = StdRng::seed_from_u64(1);
+        let obs = Registry::disabled();
+        let (mut labeled, mut unlabeled) = (vec![(0, false)], vec![1, 2]);
+        s.select(c, &labeled, &unlabeled, 1, &mut rng, &obs);
+        s.score_pool(c, &unlabeled).unwrap();
+        s.set_parallelism(Parallelism::sequential());
+        s.stats();
+        s.terminated();
+        s.post_label(c, &[], &mut labeled, &mut unlabeled, &mut rng, &obs);
+        s.saved_model();
+        s.warm_state();
+        s.restore_warm_state(crate::model_io::WarmState::Svm {
+            state: mlcore::svm::SvmWarmState::zero(1),
+            seen: 0,
+            rounds: 0,
+        });
+    }
+
+    #[test]
+    fn pointer_forwarders_reach_every_provided_method() {
+        let c = corpus();
+        let want = [
+            "select",
+            "score_pool",
+            "set_parallelism",
+            "stats",
+            "terminated",
+            "post_label",
+            "saved_model",
+            "warm_state",
+            "restore_warm_state",
+        ];
+        let calls = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut probe = Probe(calls.clone());
+        call_provided(&mut probe, &c);
+        assert_eq!(*calls.lock().unwrap(), want, "through &mut S");
+        calls.lock().unwrap().clear();
+        let boxed: Box<dyn Strategy + Send> = Box::new(probe);
+        call_provided(boxed, &c);
+        assert_eq!(
+            *calls.lock().unwrap(),
+            want,
+            "through Box<dyn Strategy + Send>"
+        );
+    }
+
     #[test]
     fn random_strategy_selects_uniformly() {
         let c = corpus();
