@@ -235,9 +235,7 @@ fn run_mode(
     };
     let r = ActiveLearner::new(strat, params.clone())
         .run_session(&corpus, &oracle, 7, &config)
-        .unwrap_or_else(|e| panic!("mode run {mode} failed: {e}"))
-        .run_result()
-        .unwrap_or_else(|| panic!("mode run {mode} halted unexpectedly"));
+        .unwrap_or_else(|e| panic!("mode run {mode} failed: {e}"));
     let wall_secs = t0.elapsed().as_secs_f64();
     let select_secs: f64 = r.iterations.iter().map(|it| it.selection_secs()).sum();
     let train_secs_per_round: Vec<f64> = r.iterations.iter().map(|it| it.train_secs).collect();
@@ -495,9 +493,7 @@ fn main() {
                 let t0 = Instant::now();
                 let r = ActiveLearner::new(strat, params.clone())
                     .run_session(&corpus, &oracle, 7, &config)
-                    .unwrap_or_else(|e| panic!("bench run failed: {e}"))
-                    .run_result()
-                    .unwrap_or_else(|| panic!("bench session halted unexpectedly"));
+                    .unwrap_or_else(|e| panic!("bench run failed: {e}"));
                 let wall = t0.elapsed().as_secs_f64();
                 let select: f64 = r.iterations.iter().map(|it| it.selection_secs()).sum();
                 let train: f64 = r.iterations.iter().map(|it| it.train_secs).sum();

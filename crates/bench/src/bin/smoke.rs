@@ -103,9 +103,7 @@ fn main() {
                 };
                 let r = al
                     .run_session(&corpus, &oracle, 7, &config)
-                    .unwrap_or_else(|e| panic!("smoke run failed: {e}"))
-                    .run_result()
-                    .unwrap_or_else(|| panic!("smoke session halted unexpectedly"));
+                    .unwrap_or_else(|e| panic!("smoke run failed: {e}"));
                 println!(
                     "  {:<28} best_f1={:.3} final={:.3} labels={} wall={:?}",
                     $name,

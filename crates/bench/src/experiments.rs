@@ -1096,14 +1096,10 @@ pub fn fault_sweep(cfg: ExpConfig) -> TableReport {
                     },
                     ..SessionConfig::default()
                 };
-                let outcome = al
+                let run = al
                     .run_session(corpus, &oracle, RUN_SEED, &config)
                     // alem-lint: allow(panic-reach) -- experiment harness aborts on run failure; fatal by contract
                     .unwrap_or_else(|e| panic!("fault-sweep run failed: {e}"));
-                let run = outcome
-                    .run_result()
-                    // alem-lint: allow(panic-reach) -- fault-sweep asserts the session survived; halt is a harness bug
-                    .unwrap_or_else(|| panic!("fault-sweep session halted unexpectedly"));
                 (run, oracle.failures())
             }
         })
@@ -1184,10 +1180,7 @@ pub fn latency_breakdown(cfg: ExpConfig) -> TableReport {
                 let run = al
                     .run_session(corpus, &oracle, RUN_SEED, &config)
                     // alem-lint: allow(panic-reach) -- experiment harness aborts on run failure; fatal by contract
-                    .unwrap_or_else(|e| panic!("latency-breakdown run failed: {e}"))
-                    .run_result()
-                    // alem-lint: allow(panic-reach) -- latency harness asserts the session survived; halt is a harness bug
-                    .unwrap_or_else(|| panic!("latency-breakdown session halted unexpectedly"));
+                    .unwrap_or_else(|e| panic!("latency-breakdown run failed: {e}"));
                 (run.strategy.clone(), obs.events())
             }
         })

@@ -249,6 +249,7 @@ impl CandidateSource for MinHashLsh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collect_validated;
     use alem_core::schema::{AttrKind, Record, Schema};
 
     fn table(name: &str, vals: &[&str]) -> Table {
@@ -278,12 +279,8 @@ mod tests {
     #[test]
     fn identical_records_always_collide() {
         let ds = dataset();
-        let pairs = MinHashLsh::builder()
-            .bands(4)
-            .rows(2)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
+        let pairs =
+            collect_validated(&MinHashLsh::builder().bands(4).rows(2).build(), &ds).unwrap();
         // Identical token sets hash identically in every band.
         assert!(pairs.contains(&(0, 0)));
     }
@@ -316,7 +313,7 @@ mod tests {
     fn empty_records_never_pair() {
         let mut ds = dataset();
         ds.left = table("l", &["", "sony walkman"]);
-        let pairs = MinHashLsh::builder().build().collect_pairs(&ds).unwrap();
+        let pairs = collect_validated(&MinHashLsh::builder().build(), &ds).unwrap();
         assert!(pairs.iter().all(|&(l, _)| l != 0));
     }
 }

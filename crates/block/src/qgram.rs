@@ -169,6 +169,7 @@ impl CandidateSource for QGramIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collect_validated;
     use alem_core::schema::{AttrKind, Record, Schema};
 
     fn table(name: &str, vals: &[&str]) -> Table {
@@ -194,12 +195,8 @@ mod tests {
     #[test]
     fn survives_typos_that_break_tokens() {
         let ds = dataset();
-        let pairs = QGramIndex::builder()
-            .q(3)
-            .min_shared(4)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
+        let pairs =
+            collect_validated(&QGramIndex::builder().q(3).min_shared(4).build(), &ds).unwrap();
         assert!(pairs.contains(&(0, 0)));
         assert!(!pairs.contains(&(1, 1)));
     }
@@ -207,16 +204,8 @@ mod tests {
     #[test]
     fn min_shared_monotone() {
         let ds = dataset();
-        let loose = QGramIndex::builder()
-            .min_shared(2)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
-        let tight = QGramIndex::builder()
-            .min_shared(8)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
+        let loose = collect_validated(&QGramIndex::builder().min_shared(2).build(), &ds).unwrap();
+        let tight = collect_validated(&QGramIndex::builder().min_shared(8).build(), &ds).unwrap();
         assert!(tight.iter().all(|p| loose.contains(p)));
     }
 

@@ -167,6 +167,7 @@ impl CandidateSource for SortedNeighborhood {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collect_validated;
     use alem_core::schema::{AttrKind, Record, Schema, Table};
 
     fn table(name: &str, vals: &[&str]) -> Table {
@@ -190,11 +191,8 @@ mod tests {
     #[test]
     fn window_pairs_adjacent_keys() {
         let ds = dataset();
-        let pairs = SortedNeighborhood::builder()
-            .window(2)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
+        let pairs =
+            collect_validated(&SortedNeighborhood::builder().window(2).build(), &ds).unwrap();
         // "anna schmidt"/"anna schmit" and "karl weber"/"karl webber"
         // sort adjacently.
         assert!(pairs.contains(&(0, 0)));
@@ -204,16 +202,10 @@ mod tests {
     #[test]
     fn wider_window_is_superset() {
         let ds = dataset();
-        let narrow = SortedNeighborhood::builder()
-            .window(2)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
-        let wide = SortedNeighborhood::builder()
-            .window(4)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
+        let narrow =
+            collect_validated(&SortedNeighborhood::builder().window(2).build(), &ds).unwrap();
+        let wide =
+            collect_validated(&SortedNeighborhood::builder().window(4).build(), &ds).unwrap();
         assert!(narrow.iter().all(|p| wide.contains(p)));
         assert!(wide.len() >= narrow.len());
     }
@@ -221,11 +213,7 @@ mod tests {
     #[test]
     fn full_window_is_cartesian_product() {
         let ds = dataset();
-        let all = SortedNeighborhood::builder()
-            .window(6)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
+        let all = collect_validated(&SortedNeighborhood::builder().window(6).build(), &ds).unwrap();
         assert_eq!(all.len(), 9);
     }
 

@@ -175,6 +175,7 @@ mod oracle;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collect_validated;
     use alem_core::schema::{AttrKind, Record, Schema, Table};
 
     fn table(name: &str, vals: &[&str]) -> Table {
@@ -199,11 +200,7 @@ mod tests {
     }
 
     fn pairs(t: f64) -> Vec<Pair> {
-        TokenIndex::builder()
-            .threshold(t)
-            .build()
-            .collect_pairs(&dataset())
-            .unwrap()
+        collect_validated(&TokenIndex::builder().threshold(t).build(), &dataset()).unwrap()
     }
 
     /// Uncapped, the index keeps exactly the pairs of the sequential
@@ -264,17 +261,12 @@ mod tests {
     #[test]
     fn posting_cap_only_removes_pairs() {
         let ds = dataset();
-        let full = TokenIndex::builder()
-            .threshold(0.1)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
-        let capped = TokenIndex::builder()
-            .threshold(0.1)
-            .max_postings(1)
-            .build()
-            .collect_pairs(&ds)
-            .unwrap();
+        let full = collect_validated(&TokenIndex::builder().threshold(0.1).build(), &ds).unwrap();
+        let capped = collect_validated(
+            &TokenIndex::builder().threshold(0.1).max_postings(1).build(),
+            &ds,
+        )
+        .unwrap();
         assert!(capped.iter().all(|p| full.contains(p)));
     }
 
@@ -303,7 +295,7 @@ mod tests {
         let ds = dataset();
         let src = TokenIndex::builder().threshold(0.1).attr(0).build();
         assert!(src.describe().contains("attr=0"));
-        let pairs = src.collect_pairs(&ds).unwrap();
+        let pairs = collect_validated(&src, &ds).unwrap();
         assert!(pairs.contains(&(0, 0)));
     }
 }

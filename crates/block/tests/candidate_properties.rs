@@ -139,13 +139,12 @@ proptest! {
     ) {
         let ds = dataset(&left, &right);
         for t in [0.0, 0.1, 0.2, 0.4, 0.99] {
-            let ours = TokenIndex::builder()
+            let index = TokenIndex::builder()
                 .threshold(t)
                 .parallelism(Parallelism::sequential())
                 .probe_block(3)
-                .build()
-                .collect_pairs(&ds)
-                .unwrap();
+                .build();
+            let ours = collect_validated(&index, &ds).unwrap();
             prop_assert_eq!(ours, oracle::jaccard_pairs(&ds, t), "threshold {}", t);
         }
     }
@@ -177,13 +176,15 @@ fn token_index_reproduces_core_baseline_on_social_smoke() {
     assert!(!reference.is_empty());
     for cap in [usize::MAX, 20_000] {
         for threads in [1, 4] {
-            let ours = TokenIndex::builder()
-                .threshold(0.1875)
-                .max_postings(cap)
-                .parallelism(Parallelism::fixed(threads))
-                .build()
-                .collect_pairs(&ds)
-                .unwrap();
+            let ours = collect_validated(
+                &TokenIndex::builder()
+                    .threshold(0.1875)
+                    .max_postings(cap)
+                    .parallelism(Parallelism::fixed(threads))
+                    .build(),
+                &ds,
+            )
+            .unwrap();
             assert!(ours == reference, "cap {cap}, {threads} threads");
         }
     }

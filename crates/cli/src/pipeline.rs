@@ -355,7 +355,7 @@ pub fn cmd_match(args: &Args) -> CliResult {
     };
 
     let mut al = ActiveLearner::new(strategy, params);
-    let outcome = match resume {
+    let run = match resume {
         Some(path) => {
             let ckpt = Checkpoint::load(Path::new(path))?;
             eprintln!(
@@ -367,9 +367,6 @@ pub fn cmd_match(args: &Args) -> CliResult {
         }
         None => al.run_session(&corpus, &oracle, seed, &config)?,
     };
-    let run = outcome
-        .run_result()
-        .ok_or("session halted before completing")?;
     let strategy = al.into_strategy();
 
     if !ds.matches.is_empty() {

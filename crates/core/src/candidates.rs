@@ -103,8 +103,8 @@ impl PairHasher {
 /// See the [module docs](self) for the streaming contract. Implementors
 /// provide [`describe`](CandidateSource::describe),
 /// [`size_hint`](CandidateSource::size_hint) and
-/// [`stream`](CandidateSource::stream); collection and fingerprinting are
-/// derived.
+/// [`stream`](CandidateSource::stream); fingerprinting is derived, and
+/// [`collect_validated`] collects a stream while checking its contract.
 pub trait CandidateSource {
     /// Human-readable strategy label including its parameters, e.g.
     /// `"token-index(t=0.1875,attr=all,cap=none)"`. Used in reports and
@@ -123,20 +123,6 @@ pub trait CandidateSource {
         ds: &EmDataset,
         sink: &mut dyn FnMut(&[Pair]) -> Result<(), AlemError>,
     ) -> Result<(), AlemError>;
-
-    /// Materialize the full candidate list (pre-sized from
-    /// [`size_hint`](CandidateSource::size_hint)). Prefer
-    /// [`stream`](CandidateSource::stream) when the consumer can work in
-    /// chunks.
-    fn collect_pairs(&self, ds: &EmDataset) -> Result<Vec<Pair>, AlemError> {
-        let (lower, _) = self.size_hint(ds);
-        let mut out: Vec<Pair> = Vec::with_capacity(lower);
-        self.stream(ds, &mut |chunk| {
-            out.extend_from_slice(chunk);
-            Ok(())
-        })?;
-        Ok(out)
-    }
 
     /// Fingerprint of the emitted pair sequence (chunk-boundary and
     /// thread-count invariant). Streams the source; does not materialize.

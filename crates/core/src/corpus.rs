@@ -2,7 +2,7 @@
 //! operates on — feature vectors, optional Boolean predicate vectors, and
 //! the hidden ground truth consulted by the Oracle and the evaluator.
 //!
-//! Feature rows live in a [`FeatureStore`](crate::featurestore::FeatureStore)
+//! Feature rows live in a [`FeatureStore`]
 //! — flat and contiguous when built eagerly, memoized on-demand when built
 //! with [`Corpus::from_candidates_lazy`]. Boolean predicate rows are
 //! derived lazily from the continuous rows on first use, so runs that never

@@ -50,6 +50,14 @@ pub enum AlemError {
         iterations: usize,
     },
 
+    /// The session stopped at its configured `halt_after` boundary
+    /// (a simulated kill) after writing its checkpoint; resume from that
+    /// checkpoint to finish the run.
+    Halted {
+        /// Iteration about to run when the session stopped.
+        iteration: usize,
+    },
+
     /// Filesystem failure while reading or writing checkpoints/outputs.
     Io(String),
 }
@@ -75,6 +83,9 @@ impl fmt::Display for AlemError {
                 f,
                 "session stalled: no labeling progress for {iterations} consecutive iterations"
             ),
+            AlemError::Halted { iteration } => {
+                write!(f, "session halted at iteration {iteration} after checkpointing")
+            }
             AlemError::Io(msg) => write!(f, "i/o error: {msg}"),
         }
     }
@@ -111,6 +122,7 @@ mod tests {
             },
             AlemError::CheckpointCorrupt("bad version".into()),
             AlemError::Stalled { iterations: 3 },
+            AlemError::Halted { iteration: 3 },
             AlemError::Io("disk full".into()),
         ];
         for e in errors {

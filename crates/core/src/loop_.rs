@@ -16,7 +16,7 @@ use crate::corpus::Corpus;
 use crate::error::AlemError;
 use crate::evaluator::RunResult;
 use crate::oracle::QueryOracle;
-use crate::session::{SessionConfig, SessionOutcome};
+use crate::session::SessionConfig;
 use crate::strategy::Strategy;
 use serde::{Deserialize, Serialize};
 
@@ -149,18 +149,9 @@ impl<S: Strategy> ActiveLearner<S> {
         self.strategy
     }
 
-    /// Borrow the strategy.
-    pub fn strategy(&self) -> &S {
-        &self.strategy
-    }
-
-    /// Borrow the loop parameters.
-    pub fn params(&self) -> &LoopParams {
-        &self.params
-    }
-
     /// Run the loop on `corpus` with labels from `oracle`, seeded by
-    /// `seed` for full reproducibility. Returns per-iteration statistics,
+    /// `seed` for full reproducibility: [`ActiveLearner::run_session`] with
+    /// the default [`SessionConfig`]. Returns per-iteration statistics,
     /// or a structured [`AlemError`] on invalid configuration / an Oracle
     /// that stays unavailable past the default retry policy.
     pub fn run(
@@ -169,13 +160,7 @@ impl<S: Strategy> ActiveLearner<S> {
         oracle: &dyn QueryOracle,
         seed: u64,
     ) -> Result<RunResult, AlemError> {
-        match self.run_session(corpus, oracle, seed, &SessionConfig::default())? {
-            SessionOutcome::Complete(run) => Ok(run),
-            SessionOutcome::Halted { .. } => {
-                // alem-lint: allow(no-panic) -- SessionConfig::default() sets halt_after: None, so the session cannot halt
-                unreachable!("default session config never halts")
-            }
-        }
+        self.run_session(corpus, oracle, seed, &SessionConfig::default())
     }
 }
 

@@ -10,9 +10,9 @@
 //! On top of the base [`Oracle`] this module provides the fault-injection
 //! harness used by the robustness benchmarks: the [`QueryOracle`] trait
 //! (fallible labeling), decorators that inject transient failures
-//! ([`TransientOracle`]), abstentions ([`AbstainingOracle`]), and latency
-//! ([`LatencyOracle`]), and the [`RetryPolicy`] the session layer uses to
-//! ride out transient failures with exponential backoff.
+//! ([`TransientOracle`]) and abstentions ([`AbstainingOracle`]), and the
+//! [`RetryPolicy`] the session layer uses to ride out transient failures
+//! with exponential backoff.
 
 use crate::error::AlemError;
 use parking_lot::Mutex;
@@ -154,16 +154,6 @@ impl Oracle {
         })
     }
 
-    /// The configured noise probability.
-    pub fn noise(&self) -> f64 {
-        self.noise
-    }
-
-    /// Votes drawn per query (1 unless majority voting is enabled).
-    pub fn votes(&self) -> usize {
-        self.votes
-    }
-
     /// An Oracle backed by a labeling callback over `n` examples — e.g.
     /// a human answering y/n in a terminal. Noise-free; each call counts
     /// as one query.
@@ -247,24 +237,6 @@ impl QueryOracle for Oracle {
                 let _ = rng.gen::<f64>();
             }
         }
-    }
-}
-
-impl<O: QueryOracle + ?Sized> QueryOracle for &O {
-    fn try_label(&self, i: usize) -> Result<OracleAnswer, AlemError> {
-        (**self).try_label(i)
-    }
-
-    fn queries(&self) -> u64 {
-        (**self).queries()
-    }
-
-    fn universe(&self) -> usize {
-        (**self).universe()
-    }
-
-    fn fast_forward(&self, n: u64) {
-        (**self).fast_forward(n)
     }
 }
 
@@ -409,59 +381,6 @@ impl<O: QueryOracle> QueryOracle for AbstainingOracle<O> {
     }
 }
 
-/// Decorator modeling a slow labeling channel with a per-query timeout:
-/// each query takes `latency`; if that exceeds `timeout` the query fails
-/// with [`AlemError::OracleUnavailable`] (without actually sleeping past
-/// the deadline).
-pub struct LatencyOracle<O: QueryOracle> {
-    inner: O,
-    latency: Duration,
-    timeout: Duration,
-}
-
-impl<O: QueryOracle> LatencyOracle<O> {
-    /// Wrap `inner` with a fixed per-query `latency` and a `timeout` above
-    /// which queries fail instead of answering.
-    pub fn new(inner: O, latency: Duration, timeout: Duration) -> Self {
-        LatencyOracle {
-            inner,
-            latency,
-            timeout,
-        }
-    }
-}
-
-impl<O: QueryOracle> QueryOracle for LatencyOracle<O> {
-    fn try_label(&self, i: usize) -> Result<OracleAnswer, AlemError> {
-        if self.latency > self.timeout {
-            return Err(AlemError::OracleUnavailable {
-                example: i,
-                attempts: 1,
-                reason: format!(
-                    "timed out after {:.1?} (latency {:.1?})",
-                    self.timeout, self.latency
-                ),
-            });
-        }
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-        self.inner.try_label(i)
-    }
-
-    fn queries(&self) -> u64 {
-        self.inner.queries()
-    }
-
-    fn universe(&self) -> usize {
-        self.inner.universe()
-    }
-
-    fn fast_forward(&self, n: u64) {
-        self.inner.fast_forward(n)
-    }
-}
-
 /// Exponential-backoff retry policy for transient Oracle failures. Only
 /// [`AlemError::OracleUnavailable`] is retried; every other error (and
 /// abstentions, which are definitive answers) passes straight through.
@@ -510,13 +429,8 @@ impl RetryPolicy {
 
     /// Query `oracle` for example `i`, retrying transient failures with
     /// exponential backoff up to `max_attempts` total attempts. The final
-    /// error reports the true attempt count.
-    pub fn query(&self, oracle: &dyn QueryOracle, i: usize) -> Result<OracleAnswer, AlemError> {
-        self.query_observed(oracle, i, &alem_obs::Registry::disabled())
-    }
-
-    /// Like [`RetryPolicy::query`], recording telemetry counters into
-    /// `obs`: `oracle.labels`, `oracle.abstentions`, `oracle.retries`
+    /// error reports the true attempt count. Records telemetry counters
+    /// into `obs`: `oracle.labels`, `oracle.abstentions`, `oracle.retries`
     /// (attempts after the first), and `oracle.failures` (injected or real
     /// transient faults observed, whether or not a retry recovered them).
     pub fn query_observed(
@@ -639,6 +553,7 @@ impl AnswerKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alem_obs::Registry;
 
     #[test]
     fn perfect_oracle_is_truth() {
@@ -782,12 +697,15 @@ mod tests {
         // 4 consecutive failures, 5 attempts allowed: recovery.
         let o = TransientOracle::new(Oracle::perfect(vec![true]), 0.0, 0).unwrap();
         o.script_failures(4);
-        assert_eq!(policy.query(&o, 0).unwrap(), OracleAnswer::Label(true));
+        assert_eq!(
+            policy.query_observed(&o, 0, &Registry::disabled()).unwrap(),
+            OracleAnswer::Label(true)
+        );
         assert_eq!(o.failures(), 4);
 
         // 5 consecutive failures exhaust the policy with the attempt count.
         o.script_failures(5);
-        match policy.query(&o, 0) {
+        match policy.query_observed(&o, 0, &Registry::disabled()) {
             Err(AlemError::OracleUnavailable {
                 attempts, example, ..
             }) => {
@@ -825,28 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_oracle_times_out() {
-        let slow = LatencyOracle::new(
-            Oracle::perfect(vec![true]),
-            Duration::from_secs(3),
-            Duration::from_millis(1),
-        );
-        match slow.try_label(0) {
-            Err(AlemError::OracleUnavailable { reason, .. }) => {
-                assert!(reason.contains("timed out"), "reason: {reason}");
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-
-        let fast = LatencyOracle::new(
-            Oracle::perfect(vec![true]),
-            Duration::from_micros(50),
-            Duration::from_secs(1),
-        );
-        assert_eq!(fast.try_label(0).unwrap(), OracleAnswer::Label(true));
-    }
-
-    #[test]
     fn decorators_stack() {
         // Transient failures over abstentions over a noisy base.
         let base = Oracle::noisy(vec![true; 1000], 0.1, 3).unwrap();
@@ -861,7 +757,7 @@ mod tests {
         let mut labels = 0;
         let mut abstains = 0;
         for i in 0..1000 {
-            match policy.query(&o, i).unwrap() {
+            match policy.query_observed(&o, i, &Registry::disabled()).unwrap() {
                 OracleAnswer::Label(_) => labels += 1,
                 OracleAnswer::Abstain => abstains += 1,
             }

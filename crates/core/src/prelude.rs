@@ -18,7 +18,7 @@ pub use crate::learner::{DnfTrainer, ForestTrainer, NnTrainer, SvmTrainer, Train
 pub use crate::loop_::{ActiveLearner, EvalMode, LoopParams};
 pub use crate::oracle::{Oracle, QueryOracle};
 pub use crate::schema::EmDataset;
-pub use crate::session::{Checkpoint, SessionConfig, SessionOutcome};
+pub use crate::session::{Checkpoint, SessionConfig};
 pub use crate::strategy::{
     LfpLfnStrategy, MarginNnStrategy, MarginSvmStrategy, QbcStrategy, RandomStrategy, Strategy,
     TreeQbcStrategy,

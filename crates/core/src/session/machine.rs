@@ -49,6 +49,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+/// Consecutive zero-progress iterations (every selected example
+/// abstained) tolerated before the session fails with
+/// [`AlemError::Stalled`].
+const MAX_STALLED_ITERS: usize = 5;
+
 /// One outstanding label request: answer it with
 /// [`SessionMachine::deliver`]. `id` is unique within the machine (fresh
 /// ids are issued if a wave is re-emitted after a resume), `example` is
@@ -283,11 +288,6 @@ impl<S: Strategy> SessionMachine<S> {
     /// (duplicates, replays after resume, unknown examples).
     pub fn ignored_answers(&self) -> u64 {
         self.ignored_answers
-    }
-
-    /// Strategy display name.
-    pub fn strategy_name(&self) -> &str {
-        &self.strategy_name
     }
 
     fn fail(&mut self) {
@@ -733,7 +733,7 @@ impl<S: Strategy> SessionMachine<S> {
             .retain(|i| !new.iter().any(|&(j, _)| j == *i));
         if new.is_empty() {
             self.st.stalled += 1;
-            if self.st.stalled > self.config.max_stalled_iters {
+            if self.st.stalled > MAX_STALLED_ITERS {
                 return Err(AlemError::Stalled {
                     iterations: self.st.stalled,
                 });

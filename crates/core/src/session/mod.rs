@@ -62,13 +62,10 @@ pub struct SessionConfig {
     pub checkpoint_path: Option<PathBuf>,
     /// Retry policy for transient Oracle failures.
     pub retry: RetryPolicy,
-    /// Simulate a kill: checkpoint and stop at the start of iteration N
-    /// (testing hook for the resume invariant; `None` = run to completion).
+    /// Simulate a kill: checkpoint and stop at the start of iteration N,
+    /// returning [`AlemError::Halted`] (testing hook for the resume
+    /// invariant; `None` = run to completion).
     pub halt_after: Option<usize>,
-    /// Consecutive zero-progress iterations (every selected example
-    /// abstained) tolerated before the session fails with
-    /// [`AlemError::Stalled`].
-    pub max_stalled_iters: usize,
     /// Telemetry registry; defaults to [`Registry::disabled`]. Spans,
     /// counters, and gauges recorded here never feed back into the
     /// learner, so enabling it cannot change a run's
@@ -90,7 +87,6 @@ impl Default for SessionConfig {
             checkpoint_path: None,
             retry: RetryPolicy::default(),
             halt_after: None,
-            max_stalled_iters: 5,
             obs: Registry::disabled(),
             parallelism: Parallelism::default(),
         }
@@ -175,32 +171,6 @@ impl Checkpoint {
     }
 }
 
-/// How a session ended.
-#[derive(Debug)]
-pub enum SessionOutcome {
-    /// The loop ran to a normal termination.
-    Complete(RunResult),
-    /// The session stopped at a simulated kill point after checkpointing.
-    Halted {
-        /// Where the checkpoint was written.
-        checkpoint: PathBuf,
-        /// Labels consumed when halted.
-        labels_used: usize,
-        /// Iterations fully recorded before halting.
-        iterations_done: usize,
-    },
-}
-
-impl SessionOutcome {
-    /// The run result, if the session completed.
-    pub fn run_result(self) -> Option<RunResult> {
-        match self {
-            SessionOutcome::Complete(r) => Some(r),
-            SessionOutcome::Halted { .. } => None,
-        }
-    }
-}
-
 fn validate_params(params: &LoopParams) -> Result<(), AlemError> {
     if params.seed_size == 0 {
         return Err(AlemError::InvalidConfig(
@@ -248,27 +218,9 @@ impl<S: Strategy> ActiveLearner<S> {
         oracle: &dyn QueryOracle,
         seed: u64,
         config: &SessionConfig,
-    ) -> Result<SessionOutcome, AlemError> {
-        let params = self.params.clone();
-        validate_params(&params)?;
-        if corpus.is_empty() {
-            return Err(AlemError::DegenerateLabels("corpus has no pairs".into()));
-        }
-        if oracle.universe() < corpus.len() {
-            return Err(AlemError::InvalidConfig(format!(
-                "oracle covers {} examples but the corpus has {}",
-                oracle.universe(),
-                corpus.len()
-            )));
-        }
-        if params.seed_size > params.max_labels {
-            return Err(AlemError::BudgetExhausted {
-                used: params.seed_size,
-                budget: params.max_labels,
-            });
-        }
-
-        let mut machine = SessionMachine::new(&mut self.strategy, params, config.clone());
+    ) -> Result<RunResult, AlemError> {
+        let mut machine =
+            SessionMachine::new(&mut self.strategy, self.params.clone(), config.clone());
         machine.start(corpus, seed)?;
         pump(machine, corpus, oracle, config)
     }
@@ -282,7 +234,7 @@ impl<S: Strategy> ActiveLearner<S> {
         oracle: &dyn QueryOracle,
         checkpoint: Checkpoint,
         config: &SessionConfig,
-    ) -> Result<SessionOutcome, AlemError> {
+    ) -> Result<RunResult, AlemError> {
         let consumed = checkpoint.oracle_queries;
         let mut machine =
             SessionMachine::new(&mut self.strategy, self.params.clone(), config.clone());
@@ -300,13 +252,22 @@ impl<S: Strategy> ActiveLearner<S> {
 /// session's [`RetryPolicy`] and handling the machine's boundary side
 /// effects (periodic checkpoints, `halt_after`). Fresh runs and resumes
 /// both land here, so the blocking API is a thin pump over the same state
-/// machine `alem-serve` drives over the wire.
+/// machine `alem-serve` drives over the wire. The machine validates its
+/// own inputs; the one check left to the pump is that the oracle can
+/// label every corpus example.
 fn pump<S: Strategy>(
     mut machine: SessionMachine<S>,
     corpus: &Corpus,
     oracle: &dyn QueryOracle,
     config: &SessionConfig,
-) -> Result<SessionOutcome, AlemError> {
+) -> Result<RunResult, AlemError> {
+    if oracle.universe() < corpus.len() {
+        return Err(AlemError::InvalidConfig(format!(
+            "oracle covers {} examples but the corpus has {}",
+            oracle.universe(),
+            corpus.len()
+        )));
+    }
     let mut written: Option<usize> = None;
     loop {
         // Boundary side effects first: the machine snapshots the
@@ -335,22 +296,15 @@ fn pump<S: Strategy>(
                 ckpt_span.finish();
                 written = Some(k);
                 if halted {
-                    return Ok(SessionOutcome::Halted {
-                        checkpoint: path.clone(),
-                        labels_used: ckpt.labeled.len(),
-                        iterations_done: ckpt.iterations.len(),
-                    });
+                    return Err(AlemError::Halted { iteration: k });
                 }
             }
         }
         match machine.state() {
             MachineState::Done => {
-                let Some(run) = machine.take_result() else {
-                    return Err(AlemError::InvalidConfig(
-                        "internal: completed session has no result".into(),
-                    ));
-                };
-                return Ok(SessionOutcome::Complete(run));
+                return machine.take_result().ok_or_else(|| {
+                    AlemError::InvalidConfig("internal: completed session has no result".into())
+                });
             }
             MachineState::AwaitingAnswers => {
                 let wave: Vec<usize> = machine.pending().iter().map(|q| q.example).collect();
@@ -463,21 +417,18 @@ mod tests {
         };
         let oracle = Oracle::perfect(c.truths().to_vec());
         let mut al = ActiveLearner::new(MarginSvmStrategy::new(SvmTrainer::default()), params());
-        match al.run_session(&c, &oracle, 17, &halted_cfg).unwrap() {
-            SessionOutcome::Halted {
-                iterations_done, ..
-            } => assert_eq!(iterations_done, 3),
-            SessionOutcome::Complete(_) => panic!("session should have halted"),
-        }
+        assert_eq!(
+            al.run_session(&c, &oracle, 17, &halted_cfg).unwrap_err(),
+            AlemError::Halted { iteration: 3 }
+        );
 
         // A fresh learner + fresh oracle resumes from the checkpoint.
         let ckpt = Checkpoint::load(&path).unwrap();
+        assert_eq!(ckpt.iterations.len(), 3);
         let oracle2 = Oracle::perfect(c.truths().to_vec());
         let mut al2 = ActiveLearner::new(MarginSvmStrategy::new(SvmTrainer::default()), params());
         let resumed = al2
             .resume_session(&c, &oracle2, ckpt, &SessionConfig::default())
-            .unwrap()
-            .run_result()
             .unwrap();
 
         assert_eq!(
@@ -515,8 +466,8 @@ mod tests {
         let oracle = Oracle::perfect(c.truths().to_vec());
         let mut al = ActiveLearner::new(fresh(), params());
         assert!(matches!(
-            al.run_session(&c, &oracle, 17, &halted_cfg).unwrap(),
-            SessionOutcome::Halted { .. }
+            al.run_session(&c, &oracle, 17, &halted_cfg),
+            Err(AlemError::Halted { .. })
         ));
 
         let ckpt = Checkpoint::load(&path).unwrap();
@@ -525,8 +476,6 @@ mod tests {
         let mut al2 = ActiveLearner::new(fresh(), params());
         let resumed = al2
             .resume_session(&c, &oracle2, ckpt, &SessionConfig::default())
-            .unwrap()
-            .run_result()
             .unwrap();
         assert_eq!(
             resumed.deterministic_fingerprint(),
@@ -634,7 +583,7 @@ mod tests {
         let mut al = ActiveLearner::new(MarginSvmStrategy::new(SvmTrainer::default()), params());
         assert!(matches!(
             al.run_session(&c, &oracle, 17, &halted_cfg),
-            Ok(SessionOutcome::Halted { .. })
+            Err(AlemError::Halted { iteration: 3 })
         ));
 
         let ckpt = Checkpoint::load(&path).unwrap();
@@ -663,11 +612,7 @@ mod tests {
             ..SessionConfig::default()
         };
         let mut al = ActiveLearner::new(MarginSvmStrategy::new(SvmTrainer::default()), params());
-        let run = al
-            .run_session(&c, &oracle, 13, &cfg)
-            .unwrap()
-            .run_result()
-            .unwrap();
+        let run = al.run_session(&c, &oracle, 13, &cfg).unwrap();
         assert_eq!(run.total_labels(), 120, "full budget despite 20% failures");
         assert!(oracle.failures() > 0, "fault injection actually fired");
     }
@@ -695,8 +640,6 @@ mod tests {
         let mut al = ActiveLearner::new(TreeQbcStrategy::new(5), params());
         let run = al
             .run_session(&c, &oracle, 29, &SessionConfig::default())
-            .unwrap()
-            .run_result()
             .unwrap();
         assert!(oracle.abstentions() > 0, "abstentions actually fired");
         // Labels still accumulate despite abstentions.
@@ -711,8 +654,6 @@ mod tests {
             let mut al = ActiveLearner::new(TreeQbcStrategy::new(5), params());
             al.run_session(&c, &oracle, 41, &SessionConfig::default())
                 .unwrap()
-                .run_result()
-                .unwrap()
         };
 
         let obs = Registry::enabled();
@@ -723,10 +664,7 @@ mod tests {
         let observed = {
             let oracle = Oracle::perfect(c.truths().to_vec());
             let mut al = ActiveLearner::new(TreeQbcStrategy::new(5), params());
-            al.run_session(&c, &oracle, 41, &cfg)
-                .unwrap()
-                .run_result()
-                .unwrap()
+            al.run_session(&c, &oracle, 41, &cfg).unwrap()
         };
         assert_eq!(
             plain.deterministic_fingerprint(),
@@ -811,10 +749,7 @@ mod tests {
                 ..SessionConfig::default()
             };
             let mut al = ActiveLearner::new(TreeQbcStrategy::new(5), params());
-            al.run_session(&c, &oracle, 47, &cfg)
-                .unwrap()
-                .run_result()
-                .unwrap()
+            al.run_session(&c, &oracle, 47, &cfg).unwrap()
         };
         let seq = run(Parallelism::sequential());
         for t in [2, 4] {
@@ -845,7 +780,10 @@ mod tests {
         };
         let oracle = Oracle::perfect(c.truths().to_vec());
         let mut al = ActiveLearner::new(MarginSvmStrategy::new(SvmTrainer::default()), params());
-        al.run_session(&c, &oracle, 17, &halted_cfg).unwrap();
+        assert!(matches!(
+            al.run_session(&c, &oracle, 17, &halted_cfg),
+            Err(AlemError::Halted { iteration: 3 })
+        ));
 
         let resume_cfg = SessionConfig {
             obs: Registry::enabled(),
@@ -854,11 +792,7 @@ mod tests {
         let ckpt = Checkpoint::load(&path).unwrap();
         let oracle2 = Oracle::perfect(c.truths().to_vec());
         let mut al2 = ActiveLearner::new(MarginSvmStrategy::new(SvmTrainer::default()), params());
-        let resumed = al2
-            .resume_session(&c, &oracle2, ckpt, &resume_cfg)
-            .unwrap()
-            .run_result()
-            .unwrap();
+        let resumed = al2.resume_session(&c, &oracle2, ckpt, &resume_cfg).unwrap();
         assert_eq!(
             resumed.deterministic_fingerprint(),
             full.deterministic_fingerprint()

@@ -167,81 +167,17 @@ pub trait Strategy {
     fn restore_warm_state(&mut self, _warm: crate::model_io::WarmState) {}
 }
 
-/// Mutable references delegate, so a [`crate::session::SessionMachine`]
-/// can borrow a strategy (e.g. out of an
-/// [`crate::loop_::ActiveLearner`]) instead of owning it.
-impl<S: Strategy + ?Sized> Strategy for &mut S {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn fit(
-        &mut self,
-        corpus: &Corpus,
-        labeled: &[(usize, bool)],
-        rng: &mut StdRng,
-    ) -> Result<(), AlemError> {
-        (**self).fit(corpus, labeled, rng)
-    }
-
-    fn select(
-        &mut self,
-        corpus: &Corpus,
-        labeled: &[(usize, bool)],
-        unlabeled: &[usize],
-        batch: usize,
-        rng: &mut StdRng,
-        obs: &Registry,
-    ) -> Selection {
-        (**self).select(corpus, labeled, unlabeled, batch, rng, obs)
-    }
-
-    fn score_pool(&self, corpus: &Corpus, unlabeled: &[usize]) -> Result<Vec<f64>, AlemError> {
-        (**self).score_pool(corpus, unlabeled)
-    }
-
-    fn set_parallelism(&mut self, par: Parallelism) {
-        (**self).set_parallelism(par);
-    }
-
-    fn predict(&self, corpus: &Corpus, i: usize) -> bool {
-        (**self).predict(corpus, i)
-    }
-
-    fn stats(&self) -> StrategyStats {
-        (**self).stats()
-    }
-
-    fn terminated(&self) -> bool {
-        (**self).terminated()
-    }
-
-    fn post_label(
-        &mut self,
-        corpus: &Corpus,
-        new: &[(usize, bool)],
-        labeled: &mut Vec<(usize, bool)>,
-        unlabeled: &mut Vec<usize>,
-        rng: &mut StdRng,
-        obs: &Registry,
-    ) {
-        (**self).post_label(corpus, new, labeled, unlabeled, rng, obs);
-    }
-
-    fn saved_model(&self) -> Option<crate::model_io::SavedModel> {
-        (**self).saved_model()
-    }
-
-    fn warm_state(&self) -> Option<crate::model_io::WarmState> {
-        (**self).warm_state()
-    }
-
-    fn restore_warm_state(&mut self, warm: crate::model_io::WarmState) {
-        (**self).restore_warm_state(warm);
-    }
-}
-
-impl Strategy for Box<dyn Strategy + Send> {
+/// Every mutable pointer to a strategy is a strategy: `&mut S` lets a
+/// [`crate::session::SessionMachine`] borrow one (e.g. out of an
+/// [`crate::loop_::ActiveLearner`]) instead of owning it, and
+/// `Box<dyn Strategy + Send>` serves a strategy chosen at run time. This
+/// is the one forwarder; each trait method is forwarded once here, so a
+/// provided method never silently falls back to its default.
+impl<P> Strategy for P
+where
+    P: std::ops::DerefMut,
+    P::Target: Strategy,
+{
     fn name(&self) -> String {
         (**self).name()
     }
@@ -536,7 +472,7 @@ impl TreeQbcStrategyBuilder {
     /// Warm-start retraining: after the first (cold) fit, each round
     /// retrains only `ceil(frac × n_trees)` committee members, chosen by
     /// deterministic rotation, on a bootstrap capped at
-    /// [`REFRESH_BOOTSTRAP_CAP`] examples — so per-round train cost stops
+    /// `REFRESH_BOOTSTRAP_CAP` (256) examples — so per-round train cost stops
     /// scaling with the labeled-pool size. `frac` is clamped to
     /// `(0, 1]`-sensible membership (at least one tree, at most all).
     pub fn refresh_frac(mut self, frac: f64) -> Self {
@@ -751,7 +687,7 @@ impl MarginSvmStrategyBuilder {
     /// Warm-start training: the first fit is an ordinary cold Pegasos
     /// solve; every later round *continues* that optimization — a few
     /// passes over the newly labeled examples plus a replay sample of at
-    /// most [`WARM_REPLAY_CAP`] older ones — so per-round train cost
+    /// most `WARM_REPLAY_CAP` (32) older ones — so per-round train cost
     /// stops scaling with the labeled-pool size.
     pub fn warm_start(mut self) -> Self {
         self.warm = true;

@@ -6,7 +6,7 @@
 //! `HashMap` iteration order varies per process, so per-run identity can
 //! hold while cross-run identity silently breaks.
 
-use alem_block::{CandidateSource, TokenIndex};
+use alem_block::{collect_validated, TokenIndex};
 use alem_core::corpus::Corpus;
 use alem_core::learner::SvmTrainer;
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
@@ -76,8 +76,8 @@ fn synthetic_dataset(n: usize) -> EmDataset {
 fn blocking_emits_identical_pairs_across_runs() {
     let ds = synthetic_dataset(120);
     let cfg = TokenIndex::builder().threshold(0.3).build();
-    let first = cfg.collect_pairs(&ds).unwrap();
-    let second = cfg.collect_pairs(&ds).unwrap();
+    let first = collect_validated(&cfg, &ds).unwrap();
+    let second = collect_validated(&cfg, &ds).unwrap();
     assert!(!first.is_empty(), "blocking pruned everything");
     assert_eq!(first, second, "blocking must be run-order independent");
 }

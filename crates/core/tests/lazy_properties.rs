@@ -7,11 +7,12 @@
 
 use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
+use alem_core::error::AlemError;
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
 use alem_core::oracle::Oracle;
 use alem_core::schema::{AttrKind, EmDataset, Record, Schema, Table};
 use alem_core::selector::{lazy_margin, margin};
-use alem_core::session::{Checkpoint, SessionConfig, SessionOutcome};
+use alem_core::session::{Checkpoint, SessionConfig};
 use alem_core::strategy::MarginSvmStrategy;
 use alem_obs::Registry;
 use alem_par::Parallelism;
@@ -153,8 +154,6 @@ fn run_fingerprint(corpus: &Corpus, threads: usize, seed: u64) -> String {
     ActiveLearner::new(warm_lazy_strategy(), params())
         .run_session(corpus, &oracle, seed, &config)
         .expect("session runs")
-        .run_result()
-        .expect("session completes")
         .deterministic_fingerprint()
 }
 
@@ -213,8 +212,6 @@ fn feat_cache_counters_are_exact_across_halt_resume() {
         ActiveLearner::new(warm_lazy_strategy(), params())
             .run_session(&full_corpus, &oracle, 7, &config)
             .unwrap()
-            .run_result()
-            .unwrap()
     };
 
     // Same run halted after 2 iterations, then resumed on the same
@@ -231,9 +228,8 @@ fn feat_cache_counters_are_exact_across_halt_resume() {
             ..SessionConfig::default()
         };
         let out = ActiveLearner::new(warm_lazy_strategy(), params())
-            .run_session(&corpus, &oracle, 7, &config)
-            .unwrap();
-        assert!(matches!(out, SessionOutcome::Halted { .. }));
+            .run_session(&corpus, &oracle, 7, &config);
+        assert!(matches!(out, Err(AlemError::Halted { .. })));
     }
     let second_obs = Registry::enabled();
     let resumed = {
@@ -245,8 +241,6 @@ fn feat_cache_counters_are_exact_across_halt_resume() {
         };
         ActiveLearner::new(warm_lazy_strategy(), params())
             .resume_session(&corpus, &oracle, ckpt, &config)
-            .unwrap()
-            .run_result()
             .unwrap()
     };
     std::fs::remove_file(&path).ok();

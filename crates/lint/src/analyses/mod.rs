@@ -7,7 +7,7 @@
 //! convention: every finding carries the full call chain (or taint path)
 //! from the anchor symbol to the offending site, both in the rendered
 //! message (`a::f -> b::g -> h: unwrap`) and as structured
-//! [`Frame`](crate::rules::Frame)s in `--json`.
+//! [`Frame`]s in `--json`.
 //!
 //! Suppression reuses the `// alem-lint: allow(rule) -- reason` grammar
 //! at the *source* site (a vetted `unwrap` stops being a panic source for

@@ -667,7 +667,7 @@ fn run() -> i32 {
     }
 
     // Separate scenario: a server with a tiny answer deadline must convert
-    // silence into abstentions (LatencyOracle/AbstainingOracle semantics).
+    // silence into abstentions (AbstainingOracle semantics).
     let answers_timeout_observed = timeout_scenario(&server_bin, &scratch);
 
     // Verdict: every session finished with its reference fingerprint.

@@ -7,7 +7,7 @@
 //! thread delivers the next request, serialized by a per-session
 //! (non-poisoning) `parking_lot` mutex. Every call into a machine — and
 //! therefore into strategy code — runs under `catch_unwind`: a panic is
-//! converted into data ([`SessState::Poisoned`]) for *that session only*,
+//! converted into data (a `Poisoned` session state) for *that session only*,
 //! counted in `serve.worker_panics`, and the fleet keeps serving. A
 //! poisoned session's last durable checkpoint survives, so a fleet
 //! restart re-hydrates it as live again — panic isolation now, crash
@@ -384,7 +384,6 @@ impl Fleet {
             checkpoint_path: None,
             retry: self.retry.clone(),
             halt_after: None,
-            max_stalled_iters: 5,
             obs: self.cfg.obs.clone(),
             // Sessions are many and small: give each one core and let
             // concurrency come from session-level interleaving.

@@ -15,8 +15,7 @@
 //!   caught and poisons *that session only* — the fleet keeps serving;
 //! - deadline enforcement: an answer that never arrives is converted to an
 //!   abstention after a configurable deadline (the service-side analogue
-//!   of [`alem_core::oracle::AbstainingOracle`] /
-//!   [`alem_core::oracle::LatencyOracle`] semantics);
+//!   of [`alem_core::oracle::AbstainingOracle`] semantics);
 //! - admission control: past `max_sessions` the server answers
 //!   `{"ok":false,"error":"busy","retry_after_ms":…}` instead of queueing
 //!   unboundedly — clients back off with the existing
@@ -25,7 +24,8 @@
 //!   connection (never a disconnect, never a crash);
 //! - `SIGTERM`/`SIGINT` (via the vendored `sigshim`) or a `drain` request
 //!   triggers a graceful drain: stop accepting, finish in-flight requests,
-//!   checkpoint every live session, exit 0;
+//!   checkpoint every live session past its seed wave (a restart replays
+//!   the seed wave from the session's meta), exit 0;
 //! - a cold restart re-hydrates the whole fleet from the state directory,
 //!   re-validating each checkpoint against the corpus content fingerprint.
 //!

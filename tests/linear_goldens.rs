@@ -107,8 +107,6 @@ fn qbc_svm_session_fingerprint_is_pinned() {
         let fp = ActiveLearner::new(qbc(), params())
             .run_session(&c, &oracle, 5, &config)
             .expect("session")
-            .run_result()
-            .expect("session finished")
             .deterministic_fingerprint();
         assert_eq!(fnv(fp.bytes()), QBC_SESSION_DIGEST, "threads={threads}");
     }
@@ -308,8 +306,6 @@ fn check_pins(pins: &[Pin]) {
             let fp = ActiveLearner::new((pin.build)(), params)
                 .run_session(&c, &oracle, 5, &config)
                 .expect("session")
-                .run_result()
-                .expect("session finished")
                 .deterministic_fingerprint();
             let session = fnv(fp.bytes());
             let scores = score_bits((pin.build)(), &c, threads);

@@ -71,8 +71,6 @@ fn fingerprint_at(strategy: Box<dyn Strategy + Send>, threads: usize) -> String 
     let mut al = ActiveLearner::new(strategy, params());
     al.run_session(&c, &oracle, 93, &cfg)
         .expect("session failed")
-        .run_result()
-        .expect("session halted")
         .deterministic_fingerprint()
 }
 

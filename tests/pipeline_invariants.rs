@@ -2,7 +2,7 @@
 //! soundness, featurization invariants, tree→DNF equivalence, and F1
 //! algebra.
 
-use alem_block::{CandidateSource, TokenIndex};
+use alem_block::{collect_validated, TokenIndex};
 use alem_core::features::FeatureExtractor;
 use alem_core::interpret::{tree_dnf_predict, tree_match_paths};
 use alem_core::schema::{AttrKind, EmDataset, Record, Schema, Table};
@@ -59,8 +59,8 @@ proptest! {
             matches: Default::default(),
             name: "prop".into(),
         };
-        let lo = TokenIndex::builder().threshold(0.1).build().collect_pairs(&ds).unwrap();
-        let hi = TokenIndex::builder().threshold(0.5).build().collect_pairs(&ds).unwrap();
+        let lo = collect_validated(&TokenIndex::builder().threshold(0.1).build(), &ds).unwrap();
+        let hi = collect_validated(&TokenIndex::builder().threshold(0.5).build(), &ds).unwrap();
         // Monotonicity.
         for p in &hi {
             prop_assert!(lo.contains(p));

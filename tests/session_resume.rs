@@ -3,9 +3,10 @@
 //! run exactly (deterministic fingerprint, i.e. bit-identical F1 values).
 
 use alem_core::corpus::Corpus;
+use alem_core::error::AlemError;
 use alem_core::loop_::{ActiveLearner, LoopParams};
 use alem_core::oracle::Oracle;
-use alem_core::session::{Checkpoint, SessionConfig, SessionOutcome};
+use alem_core::session::{Checkpoint, SessionConfig};
 use alem_core::strategy::TreeQbcStrategy;
 use proptest::prelude::*;
 
@@ -28,13 +29,6 @@ fn oracle(c: &Corpus, noise: f64) -> Oracle {
             Ok(o) => o,
             Err(e) => panic!("valid noise rejected: {e}"),
         }
-    }
-}
-
-fn complete(outcome: SessionOutcome) -> alem_core::evaluator::RunResult {
-    match outcome.run_result() {
-        Some(r) => r,
-        None => panic!("session halted when it should have completed"),
     }
 }
 
@@ -68,7 +62,7 @@ proptest! {
             let o = oracle(&c, noise);
             let mut al = ActiveLearner::new(TreeQbcStrategy::new(3), params.clone());
             match al.run_session(&c, &o, run_seed, &SessionConfig::default()) {
-                Ok(out) => complete(out),
+                Ok(run) => run,
                 Err(e) => panic!("reference run failed: {e}"),
             }
         };
@@ -86,29 +80,27 @@ proptest! {
         let halted = {
             let o = oracle(&c, noise);
             let mut al = ActiveLearner::new(TreeQbcStrategy::new(3), params.clone());
-            match al.run_session(&c, &o, run_seed, &halt_config) {
-                Ok(out) => out,
-                Err(e) => panic!("halting run failed: {e}"),
-            }
+            al.run_session(&c, &o, run_seed, &halt_config)
         };
 
         let resumed = match halted {
             // Run finished before the kill point: results must match as-is.
-            SessionOutcome::Complete(r) => r,
-            SessionOutcome::Halted { checkpoint, .. } => {
+            Ok(run) => run,
+            Err(AlemError::Halted { .. }) => {
                 // ... then resumed from the on-disk checkpoint with a
                 // *fresh* oracle (fast-forwarded internally) and strategy.
-                let ckpt = match Checkpoint::load(&checkpoint) {
+                let ckpt = match Checkpoint::load(&ckpt_path) {
                     Ok(ck) => ck,
                     Err(e) => panic!("checkpoint load failed: {e}"),
                 };
                 let o = oracle(&c, noise);
                 let mut al = ActiveLearner::new(TreeQbcStrategy::new(3), params.clone());
                 match al.resume_session(&c, &o, ckpt, &SessionConfig::default()) {
-                    Ok(out) => complete(out),
+                    Ok(run) => run,
                     Err(e) => panic!("resume failed: {e}"),
                 }
             }
+            Err(e) => panic!("halting run failed: {e}"),
         };
         let _ = std::fs::remove_file(&ckpt_path);
 
