@@ -1446,6 +1446,7 @@ impl<T: Trainer> Strategy for RandomStrategy<T> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::sync::{Arc, Mutex};
 
     fn corpus() -> Corpus {
         let feats: Vec<Vec<f64>> = (0..80).map(|i| vec![i as f64 / 80.0]).collect();
@@ -1614,7 +1615,7 @@ mod tests {
     /// Overrides every provided [`Strategy`] method and records which ran,
     /// so a pointer forwarder that misses one (and silently runs the
     /// default) is caught.
-    struct Probe(std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>);
+    struct Probe(Arc<Mutex<Vec<&'static str>>>);
 
     impl Probe {
         fn hit(&self, method: &'static str) {
@@ -1733,7 +1734,7 @@ mod tests {
             "warm_state",
             "restore_warm_state",
         ];
-        let calls = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let calls = Arc::new(Mutex::new(Vec::new()));
         let mut probe = Probe(calls.clone());
         call_provided(&mut probe, &c);
         assert_eq!(*calls.lock().unwrap(), want, "through &mut S");
