@@ -7,7 +7,9 @@
 //!
 //! The [`Pin`]s extend this to every `Strategy` implementation and
 //! builder mode, so a refactor of the selection layer shows any change
-//! in what a session labels or how a pool scores.
+//! in what a session labels or how a pool scores. The tree and linear
+//! margin pins also hold on a lazily extracted corpus, whose rows and
+//! partial cells must carry the eager bits.
 
 use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
@@ -39,14 +41,22 @@ const MARGIN_SCORES_DIGEST: u64 = 0x59de_0b09_e36c_6b72;
 
 /// Cora at a small scale, blocked at its paper threshold.
 fn corpus() -> Corpus {
+    build_corpus(false)
+}
+
+/// [`corpus`]'s tables, built eagerly or with lazily extracted rows.
+fn build_corpus(lazy: bool) -> Corpus {
     let cfg = PaperDataset::Cora.config(0.02);
     let ds = datagen::generate(&cfg, 42);
     let blocking = TokenIndex::builder()
         .threshold(cfg.blocking_threshold)
         .build();
-    Corpus::from_candidates(&ds, &blocking)
-        .expect("blocking streams valid candidates")
-        .0
+    let built = if lazy {
+        Corpus::from_candidates_lazy(&ds, &blocking)
+    } else {
+        Corpus::from_candidates(&ds, &blocking)
+    };
+    built.expect("blocking streams valid candidates").0
 }
 
 fn params() -> LoopParams {
@@ -286,10 +296,13 @@ fn pins_rules_and_baselines() -> Vec<Pin> {
     ]
 }
 
-/// Check every pin at threads 1 and 3; on a mismatch, fail with the
-/// digests of the whole group.
-fn check_pins(pins: &[Pin]) {
-    let c = corpus();
+/// Check every pin at threads 1 and 3 on the eager or the lazy
+/// [`build_corpus`]; each lazy run gets a fresh corpus, so no run reads
+/// rows an earlier one extracted. On a mismatch, fail with the digests
+/// of the whole group.
+fn check_pins(pins: &[Pin], lazy: bool) {
+    let c = build_corpus(lazy);
+    let fresh = || if lazy { build_corpus(true) } else { c.clone() };
     let oracle = Oracle::perfect(c.truths().to_vec());
     let mut report = String::new();
     let mut failed = false;
@@ -304,14 +317,14 @@ fn check_pins(pins: &[Pin]) {
                 ..params()
             };
             let fp = ActiveLearner::new((pin.build)(), params)
-                .run_session(&c, &oracle, 5, &config)
+                .run_session(&fresh(), &oracle, 5, &config)
                 .expect("session")
                 .deterministic_fingerprint();
             let session = fnv(fp.bytes());
-            let scores = score_bits((pin.build)(), &c, threads);
+            let scores = score_bits((pin.build)(), &fresh(), threads);
             failed |= session != pin.session || scores != pin.scores;
             report.push_str(&format!(
-                "{} (threads {threads}): session {session:#018x}, scores {scores:#018x}\n",
+                "{} (threads {threads}, lazy {lazy}): session {session:#018x}, scores {scores:#018x}\n",
                 pin.label
             ));
         }
@@ -321,15 +334,16 @@ fn check_pins(pins: &[Pin]) {
 
 #[test]
 fn tree_and_linear_margin_strategies_are_pinned() {
-    check_pins(&pins_trees_and_margins());
+    check_pins(&pins_trees_and_margins(), false);
+    check_pins(&pins_trees_and_margins(), true);
 }
 
 #[test]
 fn neural_net_strategies_are_pinned() {
-    check_pins(&pins_nets());
+    check_pins(&pins_nets(), false);
 }
 
 #[test]
 fn rule_and_baseline_strategies_are_pinned() {
-    check_pins(&pins_rules_and_baselines());
+    check_pins(&pins_rules_and_baselines(), false);
 }
