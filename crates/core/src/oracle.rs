@@ -34,10 +34,12 @@ enum Source {
 }
 
 impl Source {
-    fn answer(&self, i: usize) -> bool {
+    /// The authoritative answer for example `i`, or `None` past the end
+    /// of the universe (a callback is then not called).
+    fn answer(&self, i: usize) -> Option<bool> {
         match self {
-            Source::Truth(t) => t[i],
-            Source::Callback { f, .. } => f(i),
+            Source::Truth(t) => t.get(i).copied(),
+            Source::Callback { n, f } => (i < *n).then(|| f(i)),
         }
     }
 
@@ -167,12 +169,14 @@ impl Oracle {
         }
     }
 
-    /// Ask for the label of example `i`.
-    pub fn label(&self, i: usize) -> bool {
+    /// Ask for the label of example `i`: `None` past the end of the
+    /// universe, before a query is counted or noise is drawn, so a later
+    /// [`QueryOracle::fast_forward`] replay still lines up.
+    fn label(&self, i: usize) -> Option<bool> {
+        let truth = self.source.answer(i)?;
         *self.queries.lock() += self.votes as u64;
-        let truth = self.source.answer(i);
         if self.noise == 0.0 {
-            return truth;
+            return Some(truth);
         }
         let mut rng = self.rng.lock();
         let positive_votes = (0..self.votes)
@@ -181,7 +185,7 @@ impl Oracle {
                 truth != flipped
             })
             .count();
-        2 * positive_votes > self.votes
+        Some(2 * positive_votes > self.votes)
     }
 
     /// Number of labels asked so far — the paper's #labels metric counts
@@ -215,7 +219,13 @@ impl std::fmt::Debug for Oracle {
 
 impl QueryOracle for Oracle {
     fn try_label(&self, i: usize) -> Result<OracleAnswer, AlemError> {
-        Ok(OracleAnswer::Label(self.label(i)))
+        let label = self.label(i).ok_or_else(|| {
+            AlemError::InvalidConfig(format!(
+                "oracle asked for example {i}, but it labels only {}",
+                self.universe()
+            ))
+        })?;
+        Ok(OracleAnswer::Label(label))
     }
 
     fn queries(&self) -> u64 {
@@ -558,9 +568,9 @@ mod tests {
     #[test]
     fn perfect_oracle_is_truth() {
         let o = Oracle::perfect(vec![true, false, true]);
-        assert!(o.label(0));
-        assert!(!o.label(1));
-        assert!(o.label(2));
+        assert_eq!(o.label(0), Some(true));
+        assert_eq!(o.label(1), Some(false));
+        assert_eq!(o.label(2), Some(true));
         assert_eq!(o.queries(), 3);
     }
 
@@ -568,7 +578,7 @@ mod tests {
     fn noisy_oracle_flips_at_rate() {
         let n = 20_000;
         let o = Oracle::noisy(vec![true; n], 0.3, 99).unwrap();
-        let flips = (0..n).filter(|&i| !o.label(i)).count();
+        let flips = (0..n).filter(|&i| o.label(i) == Some(false)).count();
         let rate = flips as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.02, "observed flip rate {rate}");
     }
@@ -576,13 +586,13 @@ mod tests {
     #[test]
     fn zero_noise_never_flips() {
         let o = Oracle::noisy(vec![false; 100], 0.0, 1).unwrap();
-        assert!((0..100).all(|i| !o.label(i)));
+        assert!((0..100).all(|i| o.label(i) == Some(false)));
     }
 
     #[test]
     fn full_noise_always_flips() {
         let o = Oracle::noisy(vec![false; 100], 1.0, 1).unwrap();
-        assert!((0..100).all(|i| o.label(i)));
+        assert!((0..100).all(|i| o.label(i) == Some(true)));
     }
 
     #[test]
@@ -590,9 +600,9 @@ mod tests {
         // Asking about the same example twice can give different answers —
         // the paper's harsh crowdsourcing criterion.
         let o = Oracle::noisy(vec![true; 1], 0.5, 7).unwrap();
-        let answers: Vec<bool> = (0..100).map(|_| o.label(0)).collect();
-        assert!(answers.iter().any(|&a| a));
-        assert!(answers.iter().any(|&a| !a));
+        let answers: Vec<Option<bool>> = (0..100).map(|_| o.label(0)).collect();
+        assert!(answers.contains(&Some(true)));
+        assert!(answers.contains(&Some(false)));
     }
 
     #[test]
@@ -600,7 +610,7 @@ mod tests {
         let n = 5000;
         // 30% noise, 5 votes: error rate = P(≥3 of 5 flips) ≈ 0.163.
         let o = Oracle::noisy_with_voting(vec![true; n], 0.3, 5, 42).unwrap();
-        let wrong = (0..n).filter(|&i| !o.label(i)).count();
+        let wrong = (0..n).filter(|&i| o.label(i) == Some(false)).count();
         let rate = wrong as f64 / n as f64;
         assert!((rate - 0.163).abs() < 0.03, "voting error rate {rate}");
         // Every query costs 5 crowd votes.
@@ -634,8 +644,8 @@ mod tests {
     #[test]
     fn callback_oracle_counts_queries() {
         let o = Oracle::from_fn(10, |i| i % 2 == 0);
-        assert!(o.label(0));
-        assert!(!o.label(1));
+        assert_eq!(o.label(0), Some(true));
+        assert_eq!(o.label(1), Some(false));
         assert_eq!(o.queries(), 2);
         assert_eq!(o.universe(), 10);
     }
@@ -644,8 +654,8 @@ mod tests {
     fn seeded_oracles_reproduce() {
         let a = Oracle::noisy(vec![true; 50], 0.4, 123).unwrap();
         let b = Oracle::noisy(vec![true; 50], 0.4, 123).unwrap();
-        let va: Vec<bool> = (0..50).map(|i| a.label(i)).collect();
-        let vb: Vec<bool> = (0..50).map(|i| b.label(i)).collect();
+        let va: Vec<Option<bool>> = (0..50).map(|i| a.label(i)).collect();
+        let vb: Vec<Option<bool>> = (0..50).map(|i| b.label(i)).collect();
         assert_eq!(va, vb);
     }
 
@@ -653,15 +663,43 @@ mod tests {
     fn fast_forward_reproduces_noise_stream() {
         let n = 200;
         let reference = Oracle::noisy(vec![true; n], 0.4, 77).unwrap();
-        let answers: Vec<bool> = (0..n).map(|i| reference.label(i)).collect();
+        let answers: Vec<Option<bool>> = (0..n).map(|i| reference.label(i)).collect();
 
         // A fresh Oracle fast-forwarded past the first half must produce
         // the reference's second half exactly.
         let resumed = Oracle::noisy(vec![true; n], 0.4, 77).unwrap();
         resumed.fast_forward(100);
         assert_eq!(QueryOracle::queries(&resumed), 100);
-        let tail: Vec<bool> = (100..n).map(|i| resumed.label(i)).collect();
+        let tail: Vec<Option<bool>> = (100..n).map(|i| resumed.label(i)).collect();
         assert_eq!(tail, answers[100..]);
+    }
+
+    #[test]
+    fn out_of_range_example_is_an_error() {
+        let perfect = Oracle::perfect(vec![true; 3]);
+        assert!(matches!(
+            perfect.try_label(3),
+            Err(AlemError::InvalidConfig(_))
+        ));
+        assert_eq!(QueryOracle::queries(&perfect), 0);
+        // The callback only ever sees examples of its universe.
+        let callback = Oracle::from_fn(10, |i| {
+            assert!(i < 10, "callback asked for example {i}");
+            true
+        });
+        assert!(matches!(
+            callback.try_label(10),
+            Err(AlemError::InvalidConfig(_))
+        ));
+        assert_eq!(QueryOracle::queries(&callback), 0);
+        // A rejected query draws no noise: the stream still matches a
+        // fresh Oracle's.
+        let noisy = Oracle::noisy(vec![true; 50], 0.4, 9).unwrap();
+        let fresh = Oracle::noisy(vec![true; 50], 0.4, 9).unwrap();
+        assert!(noisy.try_label(50).is_err());
+        let a: Vec<Option<bool>> = (0..50).map(|i| noisy.label(i)).collect();
+        let b: Vec<Option<bool>> = (0..50).map(|i| fresh.label(i)).collect();
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use alem_core::corpus::Corpus;
 use alem_core::learner::SvmTrainer;
-use alem_core::oracle::Oracle;
+use alem_core::oracle::{Oracle, OracleAnswer, QueryOracle};
 use alem_core::selector::{bottom_k_asc, qbc, top_k_desc};
 use alem_core::strategy::{QbcStrategy, Strategy};
 use mlcore::svm::LinearSvm;
@@ -105,7 +105,9 @@ proptest! {
     fn oracle_flip_rate(noise in 0.0f64..=1.0, seed in 0u64..50) {
         let n = 4000;
         let oracle = Oracle::noisy(vec![true; n], noise, seed).expect("valid noise");
-        let flips = (0..n).filter(|&i| !oracle.label(i)).count();
+        let flips = (0..n)
+            .filter(|&i| matches!(oracle.try_label(i), Ok(OracleAnswer::Label(false))))
+            .count();
         let rate = flips as f64 / n as f64;
         prop_assert!((rate - noise).abs() < 0.05, "rate {} vs noise {}", rate, noise);
     }
