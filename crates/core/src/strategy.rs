@@ -473,10 +473,10 @@ impl TreeQbcStrategyBuilder {
     /// retrains only `ceil(frac × n_trees)` committee members, chosen by
     /// deterministic rotation, on a bootstrap capped at
     /// `REFRESH_BOOTSTRAP_CAP` (256) examples — so per-round train cost stops
-    /// scaling with the labeled-pool size. `frac` is clamped to
-    /// `(0, 1]`-sensible membership (at least one tree, at most all).
+    /// scaling with the labeled-pool size. The member count is clamped
+    /// to at least one tree and at most all; `fit` rejects a `frac`
+    /// outside `(0, 1]` with [`AlemError::InvalidConfig`].
     pub fn refresh_frac(mut self, frac: f64) -> Self {
-        assert!(frac > 0.0 && frac <= 1.0, "refresh_frac must be in (0, 1]");
         self.refresh_frac = Some(frac);
         self
     }
@@ -525,6 +525,11 @@ impl Strategy for TreeQbcStrategy {
         labeled: &[(usize, bool)],
         rng: &mut StdRng,
     ) -> Result<(), AlemError> {
+        if let Some(frac) = self.refresh_frac.filter(|f| !(*f > 0.0 && *f <= 1.0)) {
+            return Err(AlemError::InvalidConfig(format!(
+                "refresh_frac must be in (0, 1], got {frac}"
+            )));
+        }
         let (xs, ys) = labeled_rows(corpus, labeled, false)?;
         let set = mlcore::data::TrainSet::new(&xs, &ys);
         match (self.refresh_frac, self.model.take()) {
@@ -728,6 +733,29 @@ impl MarginSvmStrategy {
     pub fn model(&self) -> Option<&LinearSvm> {
         self.model.as_ref()
     }
+
+    /// The ordinary cold Pegasos solve over every label. With warm starts
+    /// on, it also seeds the optimizer state later rounds continue from.
+    fn fit_cold(
+        &mut self,
+        corpus: &Corpus,
+        labeled: &[(usize, bool)],
+        rng: &mut StdRng,
+    ) -> Result<(), AlemError> {
+        let (xs, ys) = labeled_rows(corpus, labeled, false)?;
+        let model = self.trainer.train(&xs, &ys, rng);
+        if self.warm {
+            self.warm_state = Some(mlcore::svm::SvmWarmState::after_cold_fit(
+                &model,
+                &self.trainer.0,
+                labeled.len(),
+            ));
+            self.seen = labeled.len();
+            self.warm_rounds = 0;
+        }
+        self.model = Some(model);
+        Ok(())
+    }
 }
 
 impl Strategy for MarginSvmStrategy {
@@ -744,58 +772,29 @@ impl Strategy for MarginSvmStrategy {
         labeled: &[(usize, bool)],
         rng: &mut StdRng,
     ) -> Result<(), AlemError> {
-        if !self.warm {
-            let (xs, ys) = labeled_rows(corpus, labeled, false)?;
-            self.model = Some(self.trainer.train(&xs, &ys, rng));
-            return Ok(());
+        let state = match self.warm_state.take() {
+            Some(state) if self.warm => state,
+            _ => return self.fit_cold(corpus, labeled, rng),
+        };
+        let seen = self.seen.min(labeled.len());
+        let mut round: Vec<(usize, bool)> = labeled[seen..].to_vec();
+        // Replay a small sample of older labels so the boundary keeps
+        // honoring them without a full-pool pass.
+        let replay_n = WARM_REPLAY_CAP.min(seen);
+        round.extend((0..replay_n).map(|_| labeled[rng.gen_range(0..seen)]));
+        let (xs, ys) = labeled_rows(corpus, &round, false)?;
+        let set = mlcore::data::TrainSet::new(&xs, &ys);
+        if !set.is_empty() && set.dim() != state.weights.len() {
+            // Dimensionality changed under us (different corpus); the
+            // continuation is meaningless, fall back to cold.
+            return self.fit_cold(corpus, labeled, rng);
         }
-        match self.warm_state.take() {
-            None => {
-                // First fit is the ordinary cold solve; it seeds the
-                // optimizer state the warm rounds continue from.
-                let (xs, ys) = labeled_rows(corpus, labeled, false)?;
-                let model = self.trainer.train(&xs, &ys, rng);
-                self.warm_state = Some(mlcore::svm::SvmWarmState::after_cold_fit(
-                    &model,
-                    &self.trainer.0,
-                    labeled.len(),
-                ));
-                self.seen = labeled.len();
-                self.warm_rounds = 0;
-                self.model = Some(model);
-            }
-            Some(state) => {
-                let seen = self.seen.min(labeled.len());
-                let mut round: Vec<(usize, bool)> = labeled[seen..].to_vec();
-                // Replay a small sample of older labels so the boundary
-                // keeps honoring them without a full-pool pass.
-                let replay_n = WARM_REPLAY_CAP.min(seen);
-                round.extend((0..replay_n).map(|_| labeled[rng.gen_range(0..seen)]));
-                let (xs, ys) = labeled_rows(corpus, &round, false)?;
-                let set = mlcore::data::TrainSet::new(&xs, &ys);
-                if !set.is_empty() && set.dim() != state.weights.len() {
-                    // Dimensionality changed under us (different corpus);
-                    // the continuation is meaningless, fall back to cold.
-                    let (xs, ys) = labeled_rows(corpus, labeled, false)?;
-                    let model = self.trainer.train(&xs, &ys, rng);
-                    self.warm_state = Some(mlcore::svm::SvmWarmState::after_cold_fit(
-                        &model,
-                        &self.trainer.0,
-                        labeled.len(),
-                    ));
-                    self.seen = labeled.len();
-                    self.warm_rounds = 0;
-                    self.model = Some(model);
-                    return Ok(());
-                }
-                let epochs = (self.trainer.0.epochs / 5).max(2);
-                let (model, next) = self.trainer.0.train_warm(&set, state, epochs, rng);
-                self.warm_state = Some(next);
-                self.seen = labeled.len();
-                self.warm_rounds += 1;
-                self.model = Some(model);
-            }
-        }
+        let epochs = (self.trainer.0.epochs / 5).max(2);
+        let (model, next) = self.trainer.0.train_warm(&set, state, epochs, rng);
+        self.warm_state = Some(next);
+        self.seen = labeled.len();
+        self.warm_rounds += 1;
+        self.model = Some(model);
         Ok(())
     }
 
@@ -1610,6 +1609,21 @@ mod tests {
         assert_eq!(s.warm_state().unwrap().rounds(), 1);
         // Name (and hence run fingerprints' strategy label) is unaffected.
         assert_eq!(s.name(), "Trees(10)");
+    }
+
+    #[test]
+    fn refresh_frac_out_of_range_is_a_fit_error() {
+        let c = corpus();
+        let labeled = seed_labeled(&c);
+        for frac in [1.5, 0.0, f64::NAN] {
+            let mut s = TreeQbcStrategy::builder().refresh_frac(frac).build();
+            let err = s.fit(&c, &labeled, &mut StdRng::seed_from_u64(1));
+            assert!(
+                matches!(err, Err(AlemError::InvalidConfig(_))),
+                "refresh_frac({frac}): {err:?}"
+            );
+            assert!(s.model().is_none());
+        }
     }
 
     /// Overrides every provided [`Strategy`] method and records which ran,
