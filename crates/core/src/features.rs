@@ -216,25 +216,16 @@ impl FeatureExtractor {
         })
     }
 
-    /// Compute a *single* continuous feature dimension on demand.
-    ///
-    /// The lazy feature store's single-cell reads land here: one
-    /// similarity computation instead of the full 21×#attrs vector.
-    pub fn compute_dim(&self, pair: Pair, dim: usize) -> f64 {
-        let mut value = 0.0;
-        self.score_dims(pair, [dim], &mut Scratch::default(), |_, v| value = v);
-        value
-    }
-
-    /// [`FeatureExtractor::compute_dim`] batched: compute `dims` for one
-    /// pair, emitting `(dim, value)` through `sink` in `dims` order. Runs
-    /// of dims sharing an attribute (the common case — dims are
+    /// Compute the continuous feature dimensions `dims` of one pair on
+    /// demand, emitting `(dim, value)` through `sink` in `dims` order.
+    /// Runs of dims sharing an attribute (the common case — dims are
     /// attr-major) share one value-pair lookup and scratch space, as in
-    /// [`FeatureExtractor::extract_pair`]. Values are bit-identical to
-    /// `compute_dim`.
+    /// [`FeatureExtractor::extract_pair`], and every value is
+    /// bit-identical to that dim of the full row.
     ///
-    /// This is the lazy feature store's batch fill path: sorted dim runs
-    /// from phase-1 partial reads and row materialization land here.
+    /// This is the lazy feature store's fill path: the sorted missing
+    /// cells of a partial read, and those of a row being materialized,
+    /// land here.
     pub fn compute_dims_with(&self, pair: Pair, dims: &[usize], sink: impl FnMut(usize, f64)) {
         self.score_dims(pair, dims.iter().copied(), &mut Scratch::default(), sink);
     }
@@ -386,8 +377,15 @@ mod tests {
         let fx = FeatureExtractor::new(&toy()).unwrap();
         let full = fx.extract_pair((0, 0));
         for (d, &v) in full.iter().enumerate() {
-            assert_eq!(fx.compute_dim((0, 0), d), v, "dim {d}");
+            let mut got = Vec::new();
+            fx.compute_dims_with((0, 0), &[d], |dim, x| got.push((dim, x)));
+            assert_eq!(got, vec![(d, v)], "dim {d}");
         }
+        let dims: Vec<usize> = (0..full.len()).rev().step_by(3).collect();
+        let mut got = Vec::new();
+        fx.compute_dims_with((0, 0), &dims, |dim, x| got.push((dim, x)));
+        let want: Vec<(usize, f64)> = dims.iter().map(|&d| (d, full[d])).collect();
+        assert_eq!(got, want, "a batch arrives in dims order");
     }
 
     #[test]

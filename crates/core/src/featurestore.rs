@@ -17,10 +17,11 @@
 //! in relaxed atomics (`cache_hits`/`cache_misses`) which the session
 //! layer surfaces as `feat.cache_hits`/`feat.cache_misses` telemetry.
 //!
-//! [`DimsView`] is the sparse companion: a selected-dims projection that
-//! reads single dimensions (cached row if present, single-similarity
-//! computation otherwise) without forcing full-row materialization —
-//! phase 1 of the two-phase lazy selector runs entirely on it.
+//! [`FeatureStore::read_dims`] is the one partial read: it hands a
+//! caller chosen cells of a row (from the memoized row if present, else
+//! from a per-row partial-cell memo it fills on demand) without forcing
+//! full-row materialization. Phase 1 of the staged margin scan runs
+//! entirely on it, under both of its skip rules (DESIGN §12).
 
 use crate::features::FeatureExtractor;
 use crate::schema::Pair;
@@ -141,7 +142,7 @@ impl FeatureStore {
     /// store lifetime; every later access is a hit.
     ///
     /// Materialization reuses every partial cell already memoized by
-    /// [`FeatureStore::dim_value`] and computes only the missing dims, so
+    /// [`FeatureStore::read_dims`] and computes only the missing dims, so
     /// phase-1 work is never paid twice when a pair later survives into
     /// phase 2. Cells hold sanitized values, so the assembled row is
     /// bit-identical to a from-scratch extraction.
@@ -200,42 +201,59 @@ impl FeatureStore {
         }
     }
 
-    /// One dimension of row `i` *without* forcing materialization: reads
-    /// the memoized row when present, otherwise computes the single
-    /// similarity (sanitized with the same non-finite → 0.0 rule) and
-    /// memoizes it in the row's partial-cell plane — a dimension is
-    /// computed at most once per (row, dim) for the store's lifetime,
-    /// so recurring phase-1 scans cost cache lookups after the first
-    /// iteration. Does not touch the hit/miss counters — partial reads
-    /// are phase-1 traffic, accounted by the selector's
-    /// `feat.phase1_only`.
-    pub fn dim_value(&self, i: usize, d: usize) -> f64 {
-        match &self.backing {
-            Backing::Eager { flat } => flat[i * self.dim + d],
+    /// Cells `dims` of row `i`, handed to `visit` as `(dim, value)` in
+    /// `dims` order, *without* forcing materialization: a memoized row
+    /// is read in place; otherwise the row's partial-cell plane serves
+    /// the cells, and the ones not yet filled are computed in one
+    /// [`FeatureExtractor::compute_dims_with`] call (sanitized with the
+    /// same non-finite → 0.0 rule) and memoized. A cell is computed at
+    /// most once per store lifetime, so recurring phase-1 scans cost
+    /// cache lookups after the first round, and every backing hands out
+    /// the same bits, so a caller's sum in `dims` order is the same on
+    /// all of them. Does not touch the hit/miss counters: partial reads
+    /// are phase-1 traffic, accounted by the selector's counters.
+    pub fn read_dims(&self, i: usize, dims: &[usize], mut visit: impl FnMut(usize, f64)) {
+        let row: &[f64] = match &self.backing {
+            Backing::Eager { flat } => &flat[i * self.dim..(i + 1) * self.dim],
             Backing::Lazy {
                 fx,
                 pairs,
                 rows,
                 partials,
             } => match rows[i].get() {
-                Some(row) => row[d],
+                Some(row) => row,
                 None => {
                     let cells = partials[i].get_or_init(|| {
                         (0..self.dim)
                             .map(|_| AtomicU64::new(PARTIAL_EMPTY))
                             .collect()
                     });
-                    // alem-lint: allow(determinism-taint) -- write-once cell; racing writers store the identical deterministic value
-                    let bits = cells[d].load(Ordering::Relaxed);
-                    if bits != PARTIAL_EMPTY {
-                        return f64::from_bits(bits);
+                    // Fill the unfilled cells in one batched, attr-major
+                    // pass (steady state allocates nothing), then read
+                    // every cell from the memo.
+                    let mut missing: Vec<usize> = dims
+                        .iter()
+                        .copied()
+                        // alem-lint: allow(determinism-taint) -- write-once cell; racing writers store the identical deterministic value
+                        .filter(|&d| cells[d].load(Ordering::Relaxed) == PARTIAL_EMPTY)
+                        .collect();
+                    if !missing.is_empty() {
+                        missing.sort_unstable();
+                        fx.compute_dims_with(pairs[i], &missing, |d, raw| {
+                            let v = if raw.is_finite() { raw } else { 0.0 };
+                            cells[d].store(v.to_bits(), Ordering::Relaxed);
+                        });
                     }
-                    let raw = fx.compute_dim(pairs[i], d);
-                    let v = if raw.is_finite() { raw } else { 0.0 };
-                    cells[d].store(v.to_bits(), Ordering::Relaxed);
-                    v
+                    for &d in dims {
+                        // alem-lint: allow(determinism-taint) -- write-once cell; racing writers store the identical deterministic value
+                        visit(d, f64::from_bits(cells[d].load(Ordering::Relaxed)));
+                    }
+                    return;
                 }
             },
+        };
+        for &d in dims {
+            visit(d, row[d]);
         }
     }
 
@@ -285,79 +303,6 @@ impl FeatureStore {
     pub fn sanitized_count(&self) -> u64 {
         // alem-lint: allow(determinism-taint) -- monotone telemetry counter; never enters state, seeds, or fingerprints
         self.sanitized.load(Ordering::Relaxed)
-    }
-
-    /// Weighted sum `Σ_j weights[j] · row(i)[dims[j]]`, accumulated in
-    /// `dims` order on every backing so lazy and eager agree bit-for-bit.
-    ///
-    /// This is the hot phase-1 read path — called once per pool pair per
-    /// selection round — so the backing match and the row/partial-plane
-    /// lookups are hoisted out of the per-dim loop instead of paying a
-    /// [`FeatureStore::dim_value`] dispatch per element.
-    pub fn weighted_sum_dims(&self, i: usize, dims: &[usize], weights: &[f64]) -> f64 {
-        assert_eq!(weights.len(), dims.len(), "weight/dim mismatch");
-        match &self.backing {
-            Backing::Eager { flat } => {
-                let row = &flat[i * self.dim..(i + 1) * self.dim];
-                let mut acc = 0.0;
-                for (j, &d) in dims.iter().enumerate() {
-                    acc += weights[j] * row[d];
-                }
-                acc
-            }
-            Backing::Lazy {
-                fx,
-                pairs,
-                rows,
-                partials,
-            } => match rows[i].get() {
-                Some(row) => {
-                    let mut acc = 0.0;
-                    for (j, &d) in dims.iter().enumerate() {
-                        acc += weights[j] * row[d];
-                    }
-                    acc
-                }
-                None => {
-                    let cells = partials[i].get_or_init(|| {
-                        (0..self.dim)
-                            .map(|_| AtomicU64::new(PARTIAL_EMPTY))
-                            .collect()
-                    });
-                    // Fill any unfilled cells first in one batched,
-                    // attr-major pass (steady state allocates nothing),
-                    // then accumulate from the memo in dims order so the
-                    // sum is bit-identical whether cells were hot or not.
-                    let mut missing: Vec<usize> = dims
-                        .iter()
-                        .copied()
-                        // alem-lint: allow(determinism-taint) -- write-once cell; racing writers store the identical deterministic value
-                        .filter(|&d| cells[d].load(Ordering::Relaxed) == PARTIAL_EMPTY)
-                        .collect();
-                    if !missing.is_empty() {
-                        missing.sort_unstable();
-                        fx.compute_dims_with(pairs[i], &missing, |d, raw| {
-                            let v = if raw.is_finite() { raw } else { 0.0 };
-                            cells[d].store(v.to_bits(), Ordering::Relaxed);
-                        });
-                    }
-                    let mut acc = 0.0;
-                    for (j, &d) in dims.iter().enumerate() {
-                        // alem-lint: allow(determinism-taint) -- write-once cell; racing writers store the identical deterministic value
-                        acc += weights[j] * f64::from_bits(cells[d].load(Ordering::Relaxed));
-                    }
-                    acc
-                }
-            },
-        }
-    }
-
-    /// Sparse projection onto a fixed set of dimensions.
-    pub fn select_dims(&self, dims: Vec<usize>) -> DimsView<'_> {
-        for &d in &dims {
-            assert!(d < self.dim, "selected dim {d} out of range {}", self.dim);
-        }
-        DimsView { store: self, dims }
     }
 
     /// The contiguous row-major matrix, eager backing only. Lazy stores
@@ -422,31 +367,6 @@ impl fmt::Debug for FeatureStore {
     }
 }
 
-/// Sparse selected-dims view over a [`FeatureStore`].
-///
-/// Reads go through [`FeatureStore::dim_value`], so on a lazy backing a
-/// projection never forces full-row materialization — this is the data
-/// path for phase 1 of two-phase lazy scoring.
-#[derive(Debug)]
-pub struct DimsView<'a> {
-    store: &'a FeatureStore,
-    dims: Vec<usize>,
-}
-
-impl DimsView<'_> {
-    /// The projected dimension indices, in view order.
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Weighted sum `Σ_j weights[j] · x[dims[j]]` for row `i`; `weights`
-    /// aligns with [`DimsView::dims`]. Summation order is the view order,
-    /// independent of backing, so lazy and eager agree bit-for-bit.
-    pub fn weighted_sum(&self, i: usize, weights: &[f64]) -> f64 {
-        self.store.weighted_sum_dims(i, &self.dims, weights)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,6 +400,13 @@ mod tests {
         (Arc::new(FeatureExtractor::new(&ds).unwrap()), pairs)
     }
 
+    /// Cell `(i, d)` through the partial read.
+    fn cell(store: &FeatureStore, i: usize, d: usize) -> f64 {
+        let mut value = f64::NAN;
+        store.read_dims(i, &[d], |_, v| value = v);
+        value
+    }
+
     #[test]
     fn eager_rows_round_trip_flat() {
         let flat = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
@@ -489,7 +416,7 @@ mod tests {
         assert!(!store.is_lazy());
         for (i, row) in flat.chunks(2).enumerate() {
             assert_eq!(store.row(i), row);
-            assert_eq!(store.dim_value(i, 1), row[1]);
+            assert_eq!(cell(&store, i, 1), row[1]);
         }
         assert_eq!(store.flat().unwrap(), flat.as_slice());
     }
@@ -515,10 +442,7 @@ mod tests {
         assert_eq!(lazy.dim(), eager.dim());
         for i in 0..pairs.len() {
             for d in 0..lazy.dim() {
-                assert_eq!(
-                    lazy.dim_value(i, d).to_bits(),
-                    eager.dim_value(i, d).to_bits()
-                );
+                assert_eq!(cell(&lazy, i, d).to_bits(), cell(&eager, i, d).to_bits());
             }
             assert_eq!(lazy.row(i), eager.row(i));
         }
@@ -530,7 +454,7 @@ mod tests {
         let store = FeatureStore::lazy(fx, pairs);
         assert_eq!(store.materialized_rows(), 0);
         // Partial reads never materialize.
-        let _ = store.dim_value(0, 0);
+        let _ = cell(&store, 0, 0);
         assert_eq!(store.materialized_rows(), 0);
         assert_eq!(store.cache_misses(), 0);
         store.row(0);
@@ -542,45 +466,45 @@ mod tests {
     }
 
     #[test]
-    fn dims_view_agrees_with_full_rows() {
+    fn read_dims_agrees_with_full_rows() {
         let (fx, pairs) = toy_fx();
         let store = FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs));
-        let view = store.select_dims(vec![3, 0, 7]);
-        let weights = [0.25, -1.5, 2.0];
+        let dims = [3, 0, 7];
         for (i, &pair) in pairs.iter().enumerate() {
-            let expect: f64 = view
-                .dims()
-                .iter()
-                .enumerate()
-                .map(|(j, &d)| weights[j] * fx.compute_dim(pair, d))
-                .sum();
-            assert_eq!(view.weighted_sum(i, &weights).to_bits(), expect.to_bits());
+            let row = fx.extract_pair(pair);
+            let mut seen = Vec::new();
+            store.read_dims(i, &dims, |d, v| {
+                assert_eq!(v.to_bits(), row[d].to_bits(), "pair {i} dim {d}");
+                seen.push(d);
+            });
+            assert_eq!(seen, dims, "cells arrive in dims order");
         }
-        // The view alone must not have materialized anything.
+        // The reads alone must not have materialized anything.
         assert_eq!(store.materialized_rows(), 0);
+        assert_eq!(store.partial_cells_filled(), pairs.len() * dims.len());
     }
 
     #[test]
     fn partial_reads_memoize_without_materializing() {
         let (fx, pairs) = toy_fx();
         let store = FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs));
-        let first = store.dim_value(1, 3);
-        assert_eq!(first.to_bits(), fx.compute_dim(pairs[1], 3).to_bits());
+        let first = cell(&store, 1, 3);
+        assert_eq!(first.to_bits(), fx.extract_pair(pairs[1])[3].to_bits());
         assert_eq!(store.partial_cells_filled(), 1);
         assert_eq!(store.materialized_rows(), 0);
         // A repeat read serves the memo: the fill count stays put.
-        assert_eq!(store.dim_value(1, 3).to_bits(), first.to_bits());
+        assert_eq!(cell(&store, 1, 3).to_bits(), first.to_bits());
         assert_eq!(store.partial_cells_filled(), 1);
         // Another dim of the same row fills one more cell; full
         // materialization then short-circuits partial bookkeeping.
-        let _ = store.dim_value(1, 5);
+        let _ = cell(&store, 1, 5);
         assert_eq!(store.partial_cells_filled(), 2);
         // Materialization assembles the row from the filled cells plus
         // the missing dims — bit-identical to a from-scratch extraction.
         let mut expect = fx.extract_pair(pairs[1]);
         sanitize_row(&mut expect);
         assert_eq!(store.row(1), expect.as_slice());
-        assert_eq!(store.dim_value(1, 7).to_bits(), store.row(1)[7].to_bits());
+        assert_eq!(cell(&store, 1, 7).to_bits(), store.row(1)[7].to_bits());
         assert_eq!(store.partial_cells_filled(), 2);
         // Clones carry the partial memo along with the row memo.
         assert_eq!(store.clone().partial_cells_filled(), 2);

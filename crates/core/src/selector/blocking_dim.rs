@@ -5,40 +5,32 @@
 //! dimensions*. For each unlabeled example the selector first evaluates
 //! only those dimensions; if they are all zero the example is assumed to
 //! have an all-zero feature vector, whose margin is just `|b|` — an
-//! unambiguous example that can be skipped without computing the full dot
-//! product. Only surviving examples get a full margin computation.
+//! unambiguous example that can be skipped without building its feature
+//! vector or computing the full dot product. Only surviving examples get
+//! a full margin computation.
+//!
+//! This is the zero rule ([`Skip::Zero`]) of the staged scan in
+//! [`super::lazy_margin`], run over the fresh top-`K` dims of the
+//! current model: on a lazy corpus phase 1 computes at most `K` cells of
+//! a pair, and only survivors materialize their rows.
 //!
 //! Using all dimensions as blocking dimensions degenerates to vanilla
 //! margin selection (the "margin(62Dim)" baseline of Fig. 11); `K = 1` is
 //! the "margin(1Dim)" variant that cuts selection latency without hurting
 //! quality on most datasets (Fig. 10d, Fig. 11).
 
-use super::{margin, scored_pool, top_k_desc, Selection, EXCLUDED};
+use super::lazy_margin::{self, Skip};
+use super::Selection;
 use crate::corpus::Corpus;
 use alem_obs::Registry;
 use alem_par::Parallelism;
 use mlcore::svm::LinearSvm;
 use rand::rngs::StdRng;
-use std::time::Duration;
-
-/// Outcome of a blocking-dimension margin round, with pruning statistics.
-#[derive(Debug, Clone, Default)]
-pub struct BlockingSelection {
-    /// The selection result.
-    pub selection: Selection,
-    /// Examples skipped because every blocking dimension was zero.
-    pub pruned: usize,
-    /// Examples that received a full margin computation.
-    pub evaluated: usize,
-}
 
 /// Pruned margin scores for the pool, aligned with `unlabeled`: examples
-/// whose blocking dimensions are all zero get [`EXCLUDED`]; survivors get
-/// the negated absolute margin (higher = closer to the boundary).
-///
-/// The cheap prune pass runs sequentially *before* the fan-out — it only
-/// touches `k` dimensions per example — so worker threads spend their time
-/// exclusively on full dot products.
+/// whose top-`k` blocking dimensions are all zero get
+/// [`EXCLUDED`](super::EXCLUDED); survivors get the negated absolute
+/// margin (higher = closer to the boundary).
 pub fn score_pool(
     svm: &LinearSvm,
     k: usize,
@@ -47,21 +39,11 @@ pub fn score_pool(
     par: &Parallelism,
 ) -> Vec<f64> {
     let dims = svm.top_weight_dims(k);
-    let (slots, survivors): (Vec<usize>, Vec<usize>) = unlabeled
-        .iter()
-        .enumerate()
-        .filter(|&(_, &i)| dims.iter().any(|&d| corpus.x(i)[d] != 0.0))
-        .map(|(j, &i)| (j, i))
-        .unzip();
-    let margins = margin::score_pool(svm, corpus, &survivors, par);
-    let mut scores = vec![EXCLUDED; unlabeled.len()];
-    for (j, m) in slots.into_iter().zip(margins) {
-        scores[j] = m;
-    }
-    scores
+    lazy_margin::scan(svm, corpus, unlabeled, &dims, Skip::Zero, 0, par).0
 }
 
-/// One margin round pruned by the top-`k` blocking dimensions of `svm`.
+/// One margin round pruned by the top-`k` blocking dimensions of `svm`:
+/// the selection, and how many examples were skipped.
 #[allow(clippy::too_many_arguments)] // mirrors the pipeline's natural inputs
 pub fn select(
     svm: &LinearSvm,
@@ -72,34 +54,24 @@ pub fn select(
     rng: &mut StdRng,
     obs: &Registry,
     par: &Parallelism,
-) -> BlockingSelection {
-    let score_span = obs.span("select.score");
-    let scores = score_pool(svm, k, corpus, unlabeled, par);
-    let pruned = scores.iter().filter(|&&s| s == EXCLUDED).count();
-    let evaluated = unlabeled.len() - pruned;
-    obs.counter_add("select.pairs_skipped", pruned as u64);
-    obs.counter_add("select.pairs_scored", evaluated as u64);
-    let mut chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
-    // Degenerate fallback: if pruning removed everything, fall back to the
-    // skipped pool so active learning can still progress.
-    if chosen.is_empty() && !unlabeled.is_empty() {
-        let scores = margin::score_pool(svm, corpus, unlabeled, par);
-        obs.counter_add("select.pairs_scored", unlabeled.len() as u64);
-        chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
-    }
-    BlockingSelection {
-        selection: Selection {
-            chosen,
-            committee_creation: Duration::ZERO,
-            scoring: score_span.finish(),
-        },
-        pruned,
-        evaluated,
-    }
+) -> (Selection, usize) {
+    let dims = svm.top_weight_dims(k);
+    lazy_margin::select(
+        svm,
+        corpus,
+        unlabeled,
+        batch,
+        &dims,
+        Skip::Zero,
+        rng,
+        obs,
+        par,
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::{margin, EXCLUDED};
     use super::*;
     use rand::SeedableRng;
 
@@ -125,7 +97,7 @@ mod tests {
         let svm = LinearSvm::from_parts(vec![3.0, 0.1], -1.5);
         let unlabeled: Vec<usize> = (0..100).collect();
         let mut rng = StdRng::seed_from_u64(8);
-        let out = select(
+        let (selection, pruned) = select(
             &svm,
             1,
             &c,
@@ -137,9 +109,8 @@ mod tests {
         );
         // Examples 0..50 have a zero blocking dim, and so does example 50
         // (its value is (50-50)/50 = 0).
-        assert_eq!(out.pruned, 51);
-        assert_eq!(out.evaluated, 49);
-        assert!(out.selection.chosen.iter().all(|&i| i > 50));
+        assert_eq!(pruned, 51);
+        assert!(selection.chosen.iter().all(|&i| i > 50));
     }
 
     #[test]
@@ -147,7 +118,7 @@ mod tests {
         let c = corpus();
         let svm = LinearSvm::from_parts(vec![3.0, 0.1], -1.5);
         let unlabeled: Vec<usize> = (50..100).collect();
-        let out = select(
+        let (out, _) = select(
             &svm,
             2,
             &c,
@@ -166,7 +137,7 @@ mod tests {
             &Registry::disabled(),
             &Parallelism::sequential(),
         );
-        let mut a = out.selection.chosen.clone();
+        let mut a = out.chosen.clone();
         let mut b = vanilla.chosen.clone();
         a.sort_unstable();
         b.sort_unstable();
@@ -179,7 +150,7 @@ mod tests {
         let svm = LinearSvm::from_parts(vec![3.0, 0.1], -1.5);
         // Only examples whose blocking dim is zero.
         let unlabeled: Vec<usize> = (0..50).collect();
-        let out = select(
+        let (selection, pruned) = select(
             &svm,
             1,
             &c,
@@ -189,8 +160,8 @@ mod tests {
             &Registry::disabled(),
             &Parallelism::sequential(),
         );
-        assert_eq!(out.selection.chosen.len(), 5);
-        assert_eq!(out.pruned, 50);
+        assert_eq!(selection.chosen.len(), 5);
+        assert_eq!(pruned, 50);
     }
 
     #[test]

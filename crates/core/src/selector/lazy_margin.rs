@@ -1,32 +1,39 @@
-//! Two-phase lazy margin selection — the §5.1 idea generalized from "skip
-//! pairs whose blocking dim is zero" to "bound every pair's margin from a
-//! partial feature read, and only materialize the full vector inside the
-//! uncertain band".
+//! The staged margin scan: cheap partial evidence first, the exact
+//! margin only for the pairs still in doubt.
 //!
-//! **Phase 1** reads only the `topk` highest-`|weight|` dimensions of each
-//! unlabeled pair through the store's sparse
-//! [`DimsView`](crate::featurestore::DimsView) — on a lazy corpus this
-//! computes `topk` similarities instead of all `21 × #attrs`, and never
-//! materializes a row. Because every feature lies in `[0, 1]`
-//! ([`Corpus::features_bounded_01`]), the unread remainder contributes at
-//! most `[Σ min(0, w_d), Σ max(0, w_d)]`, giving each pair a sound
-//! interval for its decision value and hence for its ambiguity score
-//! `-|decision|`.
+//! **Phase 1** reads the chosen dims of each unlabeled pair — usually
+//! the model's highest-`|weight|` ones — through
+//! [`FeatureStore::read_dims`](crate::featurestore::FeatureStore::read_dims),
+//! in stages of descending `|weight|`. On a lazy corpus this computes
+//! those cells instead of all `21 × #attrs`, and never materializes a
+//! row. After each stage a [`Skip`] rule takes pairs out of the scan:
 //!
-//! **Phase 2** materializes full rows only for pairs whose score interval
-//! reaches the selection threshold (the `batch`-th best worst-case bound)
-//! and scores them exactly with [`margin::score_pool`].
+//! * [`Skip::Zero`] is §5.1's blocking-dims rule (see
+//!   [`super::blocking_dim`]): a pair whose read cells are all zero is
+//!   taken to have an all-zero vector, whose margin is just `|b|`, and is
+//!   skipped. A pair leaves the scan as a survivor at its first nonzero
+//!   cell.
+//! * [`Skip::Bound`] is exact. Because every feature lies in `[0, 1]`
+//!   ([`Corpus::features_bounded_01`]), the unread remainder contributes
+//!   at most `[Σ min(0, w_d), Σ max(0, w_d)]`, giving each pair a sound
+//!   interval for its decision value and hence for its ambiguity score
+//!   `-|decision|`. A pair whose interval cannot reach the selection
+//!   threshold (the `batch`-th best worst-case bound) is skipped.
 //!
-//! The chosen batch is **bit-identical to eager selection**: at least
-//! `batch` pairs have true score ≥ the phase-1 threshold `W`, every
-//! non-survivor's true score is strictly below `W` (its upper bound is),
-//! and the final ranking shuffles the *full* pool with the caller's RNG
-//! before a stable sort — the same permutation the eager path draws — so
-//! tie-breaking among survivors matches exactly. Float-rounding between
-//! the partial and full summation orders is absorbed by widening both
-//! interval ends with an epsilon proportional to `|b| + Σ|w_d|`.
+//! **Phase 2** materializes full rows only for the survivors and scores
+//! them exactly with [`margin::score_pool`].
+//!
+//! Under the bound rule the chosen batch is **bit-identical to eager
+//! selection**: at least `batch` pairs have true score ≥ the phase-1
+//! threshold `W`, every skipped pair's true score is strictly below `W`
+//! (its upper bound is), and the final ranking shuffles the *full* pool
+//! with the caller's RNG before a stable sort — the same permutation the
+//! eager path draws — so tie-breaking among survivors matches exactly.
+//! Float-rounding between the partial and full summation orders is
+//! absorbed by widening both interval ends with an epsilon proportional
+//! to `|b| + Σ|w_d|`.
 
-use super::{margin, scored_pool, top_k_desc, Selection};
+use super::{margin, scored_pool, top_k_desc, Selection, EXCLUDED};
 use crate::corpus::Corpus;
 use alem_obs::Registry;
 use alem_par::Parallelism;
@@ -34,78 +41,127 @@ use mlcore::svm::LinearSvm;
 use rand::rngs::StdRng;
 use std::time::Duration;
 
-/// Outcome of one lazy selection round.
-#[derive(Debug, Clone)]
-pub struct LazySelection {
-    /// The chosen batch plus timing, as the eager selectors report it.
-    pub selection: Selection,
-    /// Pairs resolved by phase 1 alone (pruned without materializing the
-    /// full feature vector).
-    pub phase1_only: usize,
+/// Which pairs phase 1 of the staged scan skips.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Skip {
+    /// §5.1: skip a pair whose read cells are all zero. A skipped pair
+    /// scores [`EXCLUDED`]; when every pair is skipped, the round falls
+    /// back to a full margin over the pool.
+    Zero,
+    /// Skip a pair whose margin interval cannot reach the batch. Exact;
+    /// needs [`Corpus::features_bounded_01`].
+    Bound,
 }
 
-/// One two-phase margin-selection round, bit-identical in its chosen
-/// batch to [`margin::select`] with the same SVM and RNG. Phase 1 reads
-/// the caller's `dims`, usually the model's highest-`|weight|` dims.
+/// One staged margin round over the phase-1 `dims`: the chosen batch,
+/// and how many pairs phase 1 skipped. An empty pool or a zero batch
+/// selects nothing.
 ///
-/// Soundness requires [`Corpus::features_bounded_01`]; callers gate on it
+/// Under [`Skip::Bound`] the batch is bit-identical to
+/// [`margin::select`] with the same SVM and RNG. The bounds are valid
+/// for *any* set of distinct in-range dims — the unread remainder is
+/// always the complement under the current weights — so the choice of
+/// dims only moves the speed/pruning trade-off. This is what lets
+/// [`crate::strategy::MarginSvmStrategy`] freeze the dim set after the
+/// first fit: on a lazy corpus the partial-cell memo then stays at
+/// `pool × topk` cells instead of growing every round as the top-weight
+/// ranking churns, turning recurring phase-1 scans into pure cache
+/// reads. Callers gate the bound rule on [`Corpus::features_bounded_01`]
 /// and fall back to the eager path otherwise.
 ///
-/// The bounds are valid for *any* set of distinct in-range dims — the
-/// unread remainder is always the complement under the current weights —
-/// so the chosen batch is bit-identical to eager selection no matter
-/// which dims phase 1 reads; the choice only moves the speed/pruning
-/// trade-off. This is what lets [`crate::strategy::MarginSvmStrategy`]
-/// freeze the dim set after the first fit: on a lazy corpus the
-/// partial-cell memo then stays at `pool × topk` cells instead of growing
-/// every round as the top-weight ranking churns, turning recurring
-/// phase-1 scans into pure cache reads.
+/// Both rules count the pairs phase 2 scores in `select.pairs_scored`;
+/// the zero rule counts its skips in `select.pairs_skipped`, the bound
+/// rule in `feat.phase1_only`.
 #[allow(clippy::too_many_arguments)] // mirrors the eager selector's natural inputs
-pub fn select_with_dims(
+pub fn select(
     svm: &LinearSvm,
     corpus: &Corpus,
     unlabeled: &[usize],
     batch: usize,
     dims: &[usize],
+    skip: Skip,
     rng: &mut StdRng,
     obs: &Registry,
     par: &Parallelism,
-) -> LazySelection {
-    debug_assert!(
-        corpus.features_bounded_01(),
-        "lazy bounds need [0,1] features"
-    );
+) -> (Selection, usize) {
     let score_span = obs.span("select.score");
+    if unlabeled.is_empty() || batch == 0 {
+        let selection = Selection {
+            chosen: Vec::new(),
+            committee_creation: Duration::ZERO,
+            scoring: score_span.finish(),
+        };
+        return (selection, 0);
+    }
+    let (scores, skipped) = scan(svm, corpus, unlabeled, dims, skip, batch, par);
+    let scored = (unlabeled.len() - skipped) as u64;
+    match skip {
+        Skip::Zero => {
+            obs.counter_add("select.pairs_skipped", skipped as u64);
+            obs.counter_add("select.pairs_scored", scored);
+        }
+        Skip::Bound => {
+            obs.counter_add("select.pairs_scored", scored);
+            obs.counter_add("feat.phase1_only", skipped as u64);
+        }
+    }
+    let mut chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
+    // Only the zero rule can skip every pair (a pair the bound rule
+    // skips keeps a finite score): fall back to a full margin over the
+    // pool so active learning can still progress.
+    if chosen.is_empty() {
+        let scores = margin::score_pool(svm, corpus, unlabeled, par);
+        obs.counter_add("select.pairs_scored", unlabeled.len() as u64);
+        chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
+    }
+    let selection = Selection {
+        chosen,
+        committee_creation: Duration::ZERO,
+        scoring: score_span.finish(),
+    };
+    (selection, skipped)
+}
+
+/// Phase 1 and phase 2 over the pool: scores aligned with `unlabeled`,
+/// and the number of pairs phase 1 skipped. A survivor gets its exact
+/// margin score; a pair the zero rule skips gets [`EXCLUDED`], and one
+/// the bound rule skips its upper bound (provably below the threshold,
+/// hence below every chosen score), so the final ranking shuffles the
+/// same full pool the eager path does. Only the bound rule reads
+/// `batch`, which must then be at least 1 for a non-empty pool.
+pub(super) fn scan(
+    svm: &LinearSvm,
+    corpus: &Corpus,
+    unlabeled: &[usize],
+    dims: &[usize],
+    skip: Skip,
+    batch: usize,
+    par: &Parallelism,
+) -> (Vec<f64>, usize) {
+    let bound = skip == Skip::Bound;
+    debug_assert!(
+        !bound || corpus.features_bounded_01(),
+        "bounds need [0,1] features"
+    );
     let weights = svm.weights();
     let bias = svm.bias();
     let n = unlabeled.len();
     let k = batch.min(n);
 
-    if n == 0 || k == 0 {
-        return LazySelection {
-            selection: Selection {
-                chosen: Vec::new(),
-                committee_creation: Duration::ZERO,
-                scoring: score_span.finish(),
-            },
-            phase1_only: 0,
-        };
-    }
-
-    // Phase 1: bound every pair's score from the selected dims only —
-    // read in *stages* of descending |weight| so most pruned pairs never
-    // touch more than a short prefix. After each stage the threshold
-    // (the k-th best worst-case bound so far) is recomputed and pairs
-    // whose upper bound already falls below it stop reading; their
-    // bounds freeze. Every stage's threshold is sound on its own — a
-    // worst-case bound from any read prefix is still a lower bound on
-    // the true score, so at least k pairs truly score ≥ it — which is
-    // why staged pruning cannot change the chosen batch. Within a stage
-    // dims are scanned in ascending order (attr-major, matching the
-    // extractor's layout) for cache locality; the summation-order
-    // difference against the eager dot product is absorbed by the
-    // epsilon below, and the exact phase-2 scores never depend on
-    // phase-1 order.
+    // Phase 1 reads the dims in *stages* of descending |weight|, so most
+    // skipped pairs never touch more than a short prefix. After each
+    // stage the rule runs and pairs it decides stop reading. Under the
+    // bound rule the threshold (the k-th best worst-case bound so far)
+    // is recomputed and pairs whose upper bound already falls below it
+    // are skipped; their bounds freeze. Every stage's threshold is sound
+    // on its own — a worst-case bound from any read prefix is still a
+    // lower bound on the true score, so at least k pairs truly score ≥
+    // it — which is why staged pruning cannot change the chosen batch.
+    // Within a stage dims are read in ascending order (attr-major,
+    // matching the extractor's layout) for cache locality; the
+    // summation-order difference against the eager dot product is
+    // absorbed by the epsilon below, and the exact phase-2 scores never
+    // depend on phase-1 order.
     let mut dims: Vec<usize> = dims.to_vec();
     dims.sort_unstable_by(|&a, &b| {
         weights[b]
@@ -114,11 +170,10 @@ pub fn select_with_dims(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    let mut read = vec![false; weights.len()];
-    for &d in &dims {
-        debug_assert!(!read[d], "phase-1 dims must be distinct");
-        read[d] = true;
-    }
+    debug_assert!(
+        dims.windows(2).all(|w| w[0] != w[1]),
+        "phase-1 dims must be distinct"
+    );
     // Before any stage runs, *every* dim is unread — the rest-mass
     // interval starts over the whole weight vector and each stage
     // subtracts the dims it reads (dims outside the phase-1 set simply
@@ -177,32 +232,46 @@ pub fn select_with_dims(
         }
         t
     };
-    threshold = threshold.max(reprune(
-        &partial, &mut worst, &mut best, &mut alive, lo_rest, hi_rest,
-    ));
+    if bound {
+        threshold = threshold.max(reprune(
+            &partial, &mut worst, &mut best, &mut alive, lo_rest, hi_rest,
+        ));
+    }
 
-    // Stage sizes double from a short prefix: a pair pruned by the first
-    // 8 highest-|weight| dims never pays for the rest.
+    // Stage sizes double from a short prefix: a pair decided by the
+    // first 8 highest-|weight| dims never pays for the rest.
+    let store = corpus.store();
     let mut start = 0usize;
     let mut stage_len = 8usize.min(dims.len().max(1));
     while start < dims.len() {
         let end = (start + stage_len).min(dims.len());
         let mut stage: Vec<usize> = dims[start..end].to_vec();
         stage.sort_unstable();
-        let wstage: Vec<f64> = stage.iter().map(|&d| weights[d]).collect();
         for &d in &stage {
             lo_rest -= weights[d].min(0.0);
             hi_rest -= weights[d].max(0.0);
         }
-        let view = corpus.store().select_dims(stage);
         let reading: Vec<usize> = (0..n).filter(|&j| alive[j]).collect();
-        let sums: Vec<f64> = par.map(&reading, |&j| view.weighted_sum(unlabeled[j], &wstage));
-        for (&j, &s) in reading.iter().zip(&sums) {
-            partial[j] += s;
+        let reads: Vec<(f64, bool)> = par.map(&reading, |&j| {
+            let (mut sum, mut nonzero) = (0.0, false);
+            store.read_dims(unlabeled[j], &stage, |d, v| {
+                sum += weights[d] * v;
+                nonzero |= v != 0.0;
+            });
+            (sum, nonzero)
+        });
+        for (&j, &(sum, nonzero)) in reading.iter().zip(&reads) {
+            partial[j] += sum;
+            // A nonzero cell decides the zero rule: the pair survives.
+            if nonzero && !bound {
+                alive[j] = false;
+            }
         }
-        threshold = threshold.max(reprune(
-            &partial, &mut worst, &mut best, &mut alive, lo_rest, hi_rest,
-        ));
+        if bound {
+            threshold = threshold.max(reprune(
+                &partial, &mut worst, &mut best, &mut alive, lo_rest, hi_rest,
+            ));
+        }
         start = end;
         stage_len *= 2;
     }
@@ -212,32 +281,23 @@ pub fn select_with_dims(
     // bound strictly below — still separates it from the batch.
 
     // Phase 2: exact scores for survivors only, via full (memoized) rows.
+    // A zero-rule pair still reading read only zeros.
     let survivors: Vec<usize> = (0..n)
-        .filter(|&j| alive[j] && best[j] >= threshold)
+        .filter(|&j| match skip {
+            Skip::Zero => !alive[j],
+            Skip::Bound => alive[j] && best[j] >= threshold,
+        })
         .collect();
     let rows: Vec<usize> = survivors.iter().map(|&j| unlabeled[j]).collect();
     let exact = margin::score_pool(svm, corpus, &rows, par);
-
-    // Hybrid score vector: exact where it matters, upper bound (provably
-    // below the threshold, hence below every chosen score) elsewhere.
-    let mut scores: Vec<f64> = best;
+    let mut scores = match skip {
+        Skip::Zero => vec![EXCLUDED; n],
+        Skip::Bound => best,
+    };
     for (&j, &s) in survivors.iter().zip(&exact) {
         scores[j] = s;
     }
-
-    let phase1_only = n - survivors.len();
-    obs.counter_add("select.pairs_scored", survivors.len() as u64);
-    obs.counter_add("feat.phase1_only", phase1_only as u64);
-
-    let chosen = top_k_desc(scored_pool(unlabeled, &scores), batch, rng);
-    LazySelection {
-        selection: Selection {
-            chosen,
-            committee_creation: Duration::ZERO,
-            scoring: score_span.finish(),
-        },
-        phase1_only,
-    }
+    (scores, n - survivors.len())
 }
 
 #[cfg(test)]
@@ -266,12 +326,13 @@ mod tests {
             let c = corpus(300, 12, seed);
             let m = svm(12, seed + 100);
             let unlabeled: Vec<usize> = (0..300).collect();
-            let lazy = select_with_dims(
+            let lazy = select(
                 &m,
                 &c,
                 &unlabeled,
                 10,
                 &m.top_weight_dims(4),
+                Skip::Bound,
                 &mut StdRng::seed_from_u64(seed),
                 &Registry::disabled(),
                 &Parallelism::sequential(),
@@ -285,7 +346,7 @@ mod tests {
                 &Registry::disabled(),
                 &Parallelism::sequential(),
             );
-            assert_eq!(lazy.selection.chosen, eager.chosen, "seed {seed}");
+            assert_eq!(lazy.0.chosen, eager.chosen, "seed {seed}");
         }
     }
 
@@ -312,20 +373,18 @@ mod tests {
                 vec![0, 2, 4, 6, 8],
                 (0..10).collect::<Vec<_>>(),
             ] {
-                let lazy = select_with_dims(
+                let lazy = select(
                     &m,
                     &c,
                     &unlabeled,
                     8,
                     &dims,
+                    Skip::Bound,
                     &mut StdRng::seed_from_u64(seed),
                     &Registry::disabled(),
                     &Parallelism::sequential(),
                 );
-                assert_eq!(
-                    lazy.selection.chosen, eager.chosen,
-                    "seed {seed} dims {dims:?}"
-                );
+                assert_eq!(lazy.0.chosen, eager.chosen, "seed {seed} dims {dims:?}");
             }
         }
     }
@@ -341,21 +400,19 @@ mod tests {
         w[11] = 2.5;
         let m = LinearSvm::from_parts(w, -1.5);
         let unlabeled: Vec<usize> = (0..500).collect();
-        let out = select_with_dims(
+        let out = select(
             &m,
             &c,
             &unlabeled,
             10,
             &m.top_weight_dims(6),
+            Skip::Bound,
             &mut StdRng::seed_from_u64(1),
             &Registry::disabled(),
             &Parallelism::sequential(),
         );
-        assert!(
-            out.phase1_only > 0,
-            "phase 1 should prune some of a 500-pair pool"
-        );
-        assert_eq!(out.selection.chosen.len(), 10);
+        assert!(out.1 > 0, "phase 1 should prune some of a 500-pair pool");
+        assert_eq!(out.0.chosen.len(), 10);
     }
 
     #[test]
@@ -364,17 +421,18 @@ mod tests {
         let m = svm(10, 77);
         let unlabeled: Vec<usize> = (0..250).collect();
         let pick = |par: Parallelism| {
-            select_with_dims(
+            select(
                 &m,
                 &c,
                 &unlabeled,
                 10,
                 &m.top_weight_dims(3),
+                Skip::Bound,
                 &mut StdRng::seed_from_u64(5),
                 &Registry::disabled(),
                 &par,
             )
-            .selection
+            .0
             .chosen
         };
         let seq = pick(Parallelism::sequential());
@@ -387,16 +445,17 @@ mod tests {
     fn empty_pool_is_fine() {
         let c = corpus(10, 4, 1);
         let m = svm(4, 2);
-        let out = select_with_dims(
+        let out = select(
             &m,
             &c,
             &[],
             10,
             &m.top_weight_dims(2),
+            Skip::Bound,
             &mut StdRng::seed_from_u64(1),
             &Registry::disabled(),
             &Parallelism::sequential(),
         );
-        assert!(out.selection.chosen.is_empty());
+        assert!(out.0.chosen.is_empty());
     }
 }

@@ -7,6 +7,11 @@
 //! linear and non-convex classifiers ([`margin`]) with the optional
 //! blocking-dimension pruning of §5.1 ([`blocking_dim`]), and the LFP/LFN
 //! heuristic for rule learners ([`lfp_lfn`]).
+//!
+//! A linear SVM's margin can also be computed in stages: [`lazy_margin`]
+//! is the one scan of the top-|w| dims, which reads their cells without
+//! building a pair's row and skips pairs under one of two rules, §5.1's
+//! all-zero test ([`blocking_dim`]) or an exact bound on the margin.
 
 pub mod blocking_dim;
 pub mod iwal;

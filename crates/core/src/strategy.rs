@@ -634,7 +634,7 @@ pub struct MarginSvmStrategy {
     /// Sticky phase-1 dim set: kept across rounds while it retains
     /// [`LAZY_DIMS_STICKINESS`] of the fresh top-`k` weight mass,
     /// refreshed otherwise. Selection is bit-identical for any dim set
-    /// (see [`selector::lazy_margin::select_with_dims`]), so stickiness
+    /// (see [`selector::lazy_margin::select`]), so stickiness
     /// only moves the speed/pruning trade-off: a stable set keeps the
     /// lazy store's partial-cell memo near `pool × topk` instead of
     /// growing every round as the top-weight ranking churns, while the
@@ -671,19 +671,22 @@ impl MarginSvmStrategyBuilder {
         self
     }
 
-    /// Prune with the top-`k` blocking dimensions of §5.1.
+    /// Prune with the top-`k` blocking dimensions of §5.1: the zero rule
+    /// of the staged scan (see [`selector::blocking_dim`]) over the fresh
+    /// top-`k` dims of each round's model.
     pub fn blocking_dims(mut self, k: usize) -> Self {
         self.blocking_k = Some(k);
         self
     }
 
     /// Select with two-phase lazy extraction: phase 1 reads only the `k`
-    /// highest-`|weight|` dims and interval-bounds each pair's margin;
-    /// only pairs inside the uncertain band get their full vector
-    /// materialized. The chosen batches are bit-identical to eager
-    /// selection (see [`selector::lazy_margin`]); engaged only on corpora
-    /// with `[0, 1]`-bounded features, eager fallback otherwise. Ignored
-    /// when blocking dims are configured (that path already prunes).
+    /// highest-`|weight|` dims and interval-bounds each pair's margin
+    /// (the bound rule of the staged scan); only pairs inside the
+    /// uncertain band get their full vector materialized. The chosen
+    /// batches are bit-identical to eager selection (see
+    /// [`selector::lazy_margin`]); engaged only on corpora with
+    /// `[0, 1]`-bounded features, eager fallback otherwise. Ignored when
+    /// blocking dims are configured (their zero rule runs instead).
     pub fn lazy_topk(mut self, k: usize) -> Self {
         self.lazy_topk = Some(k);
         self
@@ -812,11 +815,11 @@ impl Strategy for MarginSvmStrategy {
         };
         match (self.blocking_k, self.lazy_topk) {
             (Some(k), _) => {
-                let out = selector::blocking_dim::select(
+                let (selection, pruned) = selector::blocking_dim::select(
                     svm, k, corpus, unlabeled, batch, rng, obs, &self.par,
                 );
-                self.last_pruned = Some(out.pruned);
-                out.selection
+                self.last_pruned = Some(pruned);
+                selection
             }
             (None, Some(topk)) if corpus.features_bounded_01() => {
                 // Drop a stale set if the dimensionality changed under us
@@ -840,10 +843,18 @@ impl Strategy for MarginSvmStrategy {
                 } else {
                     self.lazy_dims.insert(fresh)
                 };
-                selector::lazy_margin::select_with_dims(
-                    svm, corpus, unlabeled, batch, dims, rng, obs, &self.par,
+                selector::lazy_margin::select(
+                    svm,
+                    corpus,
+                    unlabeled,
+                    batch,
+                    dims,
+                    selector::lazy_margin::Skip::Bound,
+                    rng,
+                    obs,
+                    &self.par,
                 )
-                .selection
+                .0
             }
             (None, _) => {
                 selector::margin::select(svm, corpus, unlabeled, batch, rng, obs, &self.par)

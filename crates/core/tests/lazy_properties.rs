@@ -11,9 +11,10 @@ use alem_core::error::AlemError;
 use alem_core::loop_::{ActiveLearner, EvalMode, LoopParams};
 use alem_core::oracle::Oracle;
 use alem_core::schema::{AttrKind, EmDataset, Record, Schema, Table};
-use alem_core::selector::{lazy_margin, margin};
+use alem_core::selector::lazy_margin::{self, Skip};
+use alem_core::selector::margin;
 use alem_core::session::{Checkpoint, SessionConfig};
-use alem_core::strategy::MarginSvmStrategy;
+use alem_core::strategy::{MarginSvmStrategy, Strategy};
 use alem_obs::Registry;
 use alem_par::Parallelism;
 use mlcore::svm::LinearSvm;
@@ -57,19 +58,20 @@ proptest! {
             &Registry::disabled(),
             &Parallelism::sequential(),
         );
-        let lazy = lazy_margin::select_with_dims(
+        let (lazy, phase1_only) = lazy_margin::select(
             &svm,
             &corpus,
             &unlabeled,
             batch,
             &dims,
+            Skip::Bound,
             &mut StdRng::seed_from_u64(seed ^ 0xabcd),
             &Registry::disabled(),
             &Parallelism::sequential(),
         );
-        prop_assert_eq!(&lazy.selection.chosen, &eager.chosen);
+        prop_assert_eq!(&lazy.chosen, &eager.chosen);
         // Pruning can never exceed the pool it pruned from.
-        prop_assert!(lazy.phase1_only <= n);
+        prop_assert!(phase1_only <= n);
     }
 }
 
@@ -180,6 +182,46 @@ fn warm_lazy_fingerprints_thread_invariant_and_match_eager_golden() {
             );
         }
     }
+}
+
+/// §5.1 on a lazy corpus reads the blocking dims through the store's
+/// partial cells: after one fit and one `Linear-Margin(1Dim)` selection,
+/// only the labeled rows (the fit read them) and that round's survivors
+/// (phase 2 scored them) are materialized, never a skipped pair's row.
+#[test]
+fn blocking_dims_materialize_only_labeled_rows_and_survivors() {
+    let ds = synthetic_dataset(150);
+    let blocking = TokenIndex::builder().threshold(0.2).build();
+    let (corpus, _) = Corpus::from_candidates_lazy(&ds, &blocking).unwrap();
+    let labeled: Vec<(usize, bool)> = (0..corpus.len())
+        .step_by(5)
+        .map(|i| (i, corpus.truth(i)))
+        .collect();
+    let unlabeled: Vec<usize> = (0..corpus.len()).filter(|i| i % 5 != 0).collect();
+    let mut strategy = MarginSvmStrategy::builder().blocking_dims(1).build();
+    strategy
+        .fit(&corpus, &labeled, &mut StdRng::seed_from_u64(3))
+        .unwrap();
+    assert_eq!(corpus.store().materialized_rows(), labeled.len());
+    let selection = strategy.select(
+        &corpus,
+        &labeled,
+        &unlabeled,
+        8,
+        &mut StdRng::seed_from_u64(4),
+        &Registry::disabled(),
+    );
+    assert_eq!(selection.chosen.len(), 8);
+    let skipped = strategy
+        .stats()
+        .pruned
+        .expect("blocking dims report pruning");
+    assert!(skipped > 0, "the round must skip some pairs");
+    let survivors = unlabeled.len() - skipped;
+    assert_eq!(
+        corpus.store().materialized_rows(),
+        labeled.len() + survivors
+    );
 }
 
 fn counters(obs: &Registry) -> (u64, u64) {

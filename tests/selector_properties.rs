@@ -135,11 +135,11 @@ proptest! {
         let svm = LinearSvm::from_parts(vec![5.0, 0.01], -1.0);
         let unlabeled: Vec<usize> = (0..n).collect();
         let mut rng = StdRng::seed_from_u64(5);
-        let out = alem_core::selector::blocking_dim::select(
+        let (selection, pruned) = alem_core::selector::blocking_dim::select(
             &svm, k, &corpus, &unlabeled, 5, &mut rng,
             &alem_obs::Registry::disabled(), &alem_par::Parallelism::sequential(),
         );
-        prop_assert_eq!(out.pruned, zeros);
-        prop_assert!(out.selection.chosen.iter().all(|&i| i >= zeros));
+        prop_assert_eq!(pruned, zeros);
+        prop_assert!(selection.chosen.iter().all(|&i| i >= zeros));
     }
 }
