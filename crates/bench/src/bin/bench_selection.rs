@@ -205,7 +205,7 @@ fn mode_strategies(lazy_topk: usize) -> Vec<(&'static str, bool, Box<dyn Strateg
 }
 
 /// One end-to-end mode run: corpus build (eager or lazy) + full session
-/// under an enabled registry, so scoring-throughput and feature-cache
+/// under an aggregating registry, so scoring-throughput and feature-cache
 /// counters land in the row.
 fn run_mode(
     ds: &EmDataset,
@@ -217,7 +217,7 @@ fn run_mode(
     threads: usize,
 ) -> ModeRow {
     let strategy = strat.name();
-    let obs = Registry::enabled();
+    let obs = Registry::aggregating();
     let t0 = Instant::now();
     let par = Parallelism::fixed(threads);
     let (corpus, _fx) = if lazy_corpus {

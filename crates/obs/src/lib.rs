@@ -14,11 +14,24 @@
 //!   Perfetto;
 //! - an end-of-run summary table ([`Registry::summary`]).
 //!
-//! The [`Registry`] is cheap to clone (an `Arc`) and thread-safe. A
-//! *disabled* registry ([`Registry::disabled`]) skips all bookkeeping:
-//! [`Registry::span`] still returns a [`Span`] whose [`Span::finish`]
-//! reports the elapsed wall-clock time — so instrumented code uses the span
-//! as its single source of timing truth — but nothing is recorded.
+//! The [`Registry`] is cheap to clone (an `Arc`) and thread-safe. It comes
+//! in three kinds:
+//!
+//! - [`Registry::enabled`] keeps the **aggregates** (counters, gauges and
+//!   per-name histograms) *and* the **per-event log** — one [`Event`] per
+//!   span close, counter add and gauge set, with span ids, parents, thread
+//!   indices, timestamps, iteration and trace id. The log grows with the
+//!   work recorded; only [`Registry::events`], [`Registry::write_jsonl`]
+//!   and [`Registry::write_chrome_trace`] read it.
+//! - [`Registry::aggregating`] keeps the aggregates only, in memory
+//!   bounded by the number of metric names. Everything that reads a
+//!   [`Snapshot`] — [`FlightRecorder`], [`render_prometheus`],
+//!   [`Registry::summary`] — sees the same values as on an enabled
+//!   registry; the log sinks see no events.
+//! - [`Registry::disabled`] skips all bookkeeping: [`Registry::span`]
+//!   still returns a [`Span`] whose [`Span::finish`] reports the elapsed
+//!   wall-clock time — so instrumented code uses the span as its single
+//!   source of timing truth — but nothing is recorded.
 //!
 //! Telemetry is determinism-neutral by construction: no RNG is consumed and
 //! no recorded quantity feeds back into the learner, so enabling sinks
@@ -131,10 +144,24 @@ struct Inner {
     run_id: Mutex<String>,
     iter: AtomicU64,
     next_span_id: AtomicU64,
+    /// Whether the per-event log is kept. Without it, `State::stacks`,
+    /// `State::tids`, `State::events` and `next_span_id` stay untouched.
+    log: bool,
     state: Mutex<State>,
 }
 
 impl Inner {
+    fn new(log: bool) -> Self {
+        Inner {
+            epoch: Instant::now(),
+            run_id: Mutex::new(String::new()),
+            iter: AtomicU64::new(0),
+            next_span_id: AtomicU64::new(1),
+            log,
+            state: Mutex::new(State::default()),
+        }
+    }
+
     fn thread_ctx(state: &mut State) -> (u64, u64) {
         let tid_key = std::thread::current().id();
         let n = state.tids.len() as u64;
@@ -145,6 +172,38 @@ impl Inner {
             .and_then(|s| s.last().copied())
             .unwrap_or(0);
         (tid, parent)
+    }
+
+    /// Apply a counter or gauge update to the aggregates and, when the
+    /// log is kept, append its event — both under one state lock.
+    fn record_metric(
+        &self,
+        kind: EventKind,
+        name: &'static str,
+        value: u64,
+        update: impl FnOnce(&mut State),
+    ) {
+        if !self.log {
+            update(&mut self.state.lock().unwrap());
+            return;
+        }
+        let ts_us = self.epoch.elapsed().as_micros() as u64;
+        let iter = self.iter.load(Ordering::Relaxed);
+        let trace = current_trace();
+        let mut state = self.state.lock().unwrap();
+        let (tid, parent) = Inner::thread_ctx(&mut state);
+        update(&mut state);
+        state.events.push(Event {
+            kind,
+            name,
+            value,
+            iter,
+            id: 0,
+            parent,
+            ts_us,
+            tid,
+            trace,
+        });
     }
 }
 
@@ -175,16 +234,22 @@ impl Registry {
         Registry { inner: None }
     }
 
-    /// A recording registry with its epoch set to now.
+    /// A recording registry with its epoch set to now: aggregates plus
+    /// the per-event log the JSONL and Chrome trace sinks write.
     pub fn enabled() -> Self {
         Registry {
-            inner: Some(Arc::new(Inner {
-                epoch: Instant::now(),
-                run_id: Mutex::new(String::new()),
-                iter: AtomicU64::new(0),
-                next_span_id: AtomicU64::new(1),
-                state: Mutex::new(State::default()),
-            })),
+            inner: Some(Arc::new(Inner::new(true))),
+        }
+    }
+
+    /// A recording registry that keeps the aggregates (counters, gauges,
+    /// per-name histograms) but no per-event log, so its memory is
+    /// bounded by the number of metric names. A span takes the state
+    /// lock once, at close, to feed its histogram; [`Registry::events`]
+    /// stays empty and the log sinks write no event lines.
+    pub fn aggregating() -> Self {
+        Registry {
+            inner: Some(Arc::new(Inner::new(false))),
         }
     }
 
@@ -211,25 +276,30 @@ impl Registry {
     /// [`Span`] still measures elapsed time via [`Span::finish`].
     pub fn span(&self, name: &'static str) -> Span {
         let meta = self.inner.as_ref().map(|inner| {
-            let id = inner.next_span_id.fetch_add(1, Ordering::Relaxed);
-            let ts_us = inner.epoch.elapsed().as_micros() as u64;
-            let iter = inner.iter.load(Ordering::Relaxed);
-            let trace = current_trace();
-            let mut state = inner.state.lock().unwrap();
-            let (tid, parent) = Inner::thread_ctx(&mut state);
-            state
-                .stacks
-                .entry(std::thread::current().id())
-                .or_default()
-                .push(id);
+            let log = inner.log.then(|| {
+                let id = inner.next_span_id.fetch_add(1, Ordering::Relaxed);
+                let ts_us = inner.epoch.elapsed().as_micros() as u64;
+                let iter = inner.iter.load(Ordering::Relaxed);
+                let trace = current_trace();
+                let mut state = inner.state.lock().unwrap();
+                let (tid, parent) = Inner::thread_ctx(&mut state);
+                state
+                    .stacks
+                    .entry(std::thread::current().id())
+                    .or_default()
+                    .push(id);
+                SpanLog {
+                    id,
+                    parent,
+                    ts_us,
+                    iter,
+                    tid,
+                    trace,
+                }
+            });
             SpanMeta {
                 inner: Arc::clone(inner),
-                id,
-                parent,
-                ts_us,
-                iter,
-                tid,
-                trace,
+                log,
             }
         });
         Span {
@@ -240,48 +310,22 @@ impl Registry {
         }
     }
 
-    /// Add `delta` to counter `name` and record a counter event.
+    /// Add `delta` to counter `name` and, when the log is kept, record a
+    /// counter event.
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if let Some(inner) = &self.inner {
-            let ts_us = inner.epoch.elapsed().as_micros() as u64;
-            let iter = inner.iter.load(Ordering::Relaxed);
-            let trace = current_trace();
-            let mut state = inner.state.lock().unwrap();
-            let (tid, parent) = Inner::thread_ctx(&mut state);
-            *state.counters.entry(name).or_insert(0) += delta;
-            state.events.push(Event {
-                kind: EventKind::Counter,
-                name,
-                value: delta,
-                iter,
-                id: 0,
-                parent,
-                ts_us,
-                tid,
-                trace,
+            inner.record_metric(EventKind::Counter, name, delta, |state| {
+                *state.counters.entry(name).or_insert(0) += delta;
             });
         }
     }
 
-    /// Set gauge `name` to `value` and record a gauge event.
+    /// Set gauge `name` to `value` and, when the log is kept, record a
+    /// gauge event.
     pub fn gauge_set(&self, name: &'static str, value: u64) {
         if let Some(inner) = &self.inner {
-            let ts_us = inner.epoch.elapsed().as_micros() as u64;
-            let iter = inner.iter.load(Ordering::Relaxed);
-            let trace = current_trace();
-            let mut state = inner.state.lock().unwrap();
-            let (tid, parent) = Inner::thread_ctx(&mut state);
-            state.gauges.insert(name, value);
-            state.events.push(Event {
-                kind: EventKind::Gauge,
-                name,
-                value,
-                iter,
-                id: 0,
-                parent,
-                ts_us,
-                tid,
-                trace,
+            inner.record_metric(EventKind::Gauge, name, value, |state| {
+                state.gauges.insert(name, value);
             });
         }
     }
@@ -311,6 +355,7 @@ impl Registry {
     }
 
     /// Snapshot of every recorded event, in recording (close) order.
+    /// Empty unless the registry is [`Registry::enabled`].
     pub fn events(&self) -> Vec<Event> {
         self.inner
             .as_ref()
@@ -357,7 +402,8 @@ impl Registry {
     /// `span`, `dur_us`, and `iter` fields; events recorded inside a
     /// [`trace_scope`] also carry `trace_id`. Events and histograms are
     /// copied out under the lock and serialized outside it, so a slow sink
-    /// never stalls recording threads.
+    /// never stalls recording threads. An [`Registry::aggregating`]
+    /// registry has no events, so only the histogram lines are written.
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let Some(inner) = &self.inner else {
             return Ok(());
@@ -405,7 +451,8 @@ impl Registry {
     /// carry the trace id in `args.trace_id`, so one labeling interaction
     /// can be followed across client thread, connection handler, and
     /// session worker. Events are copied out under the lock and serialized
-    /// outside it.
+    /// outside it. An [`Registry::aggregating`] registry writes an empty
+    /// `traceEvents` array.
     pub fn write_chrome_trace<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let Some(inner) = &self.inner else {
             writeln!(w, "{{\"traceEvents\":[]}}")?;
@@ -510,6 +557,12 @@ impl Registry {
 
 struct SpanMeta {
     inner: Arc<Inner>,
+    /// What the span's log event needs, captured at open; `None` when the
+    /// registry keeps no log.
+    log: Option<SpanLog>,
+}
+
+struct SpanLog {
     id: u64,
     parent: u64,
     ts_us: u64,
@@ -522,22 +575,25 @@ impl SpanMeta {
     fn close(&self, name: &'static str, dur: Duration) {
         let dur_us = dur.as_micros() as u64;
         let mut state = self.inner.state.lock().unwrap();
+        state.hists.entry(name).or_default().record(dur_us);
+        let Some(log) = &self.log else {
+            return;
+        };
         if let Some(stack) = state.stacks.get_mut(&std::thread::current().id()) {
-            if let Some(pos) = stack.iter().rposition(|&id| id == self.id) {
+            if let Some(pos) = stack.iter().rposition(|&id| id == log.id) {
                 stack.remove(pos);
             }
         }
-        state.hists.entry(name).or_default().record(dur_us);
         state.events.push(Event {
             kind: EventKind::Span,
             name,
             value: dur_us,
-            iter: self.iter,
-            id: self.id,
-            parent: self.parent,
-            ts_us: self.ts_us,
-            tid: self.tid,
-            trace: self.trace.clone(),
+            iter: log.iter,
+            id: log.id,
+            parent: log.parent,
+            ts_us: log.ts_us,
+            tid: log.tid,
+            trace: log.trace.clone(),
         });
     }
 }
@@ -752,6 +808,61 @@ mod tests {
         reg.write_chrome_trace(&mut buf).unwrap();
         let chrome = String::from_utf8(buf).unwrap();
         assert!(chrome.contains("\"trace_id\":\"t-7\""));
+    }
+
+    /// The same nested spans, counters and gauges, across two iterations
+    /// and a trace scope, with a flight tick after each iteration.
+    fn feed(reg: &Registry) -> FlightRecorder {
+        let flight = FlightRecorder::new(reg.clone(), 8);
+        for k in 0..2 {
+            reg.set_iter(k);
+            let _g = trace_scope(Some("feed"));
+            let outer = reg.span("outer");
+            for i in 0..3 {
+                let _inner = reg.span("inner");
+                reg.counter_add("pairs", i + 1);
+            }
+            reg.gauge_set("pool", 10 - k);
+            outer.finish();
+            reg.counter_add("rounds", 1);
+            flight.tick();
+        }
+        flight
+    }
+
+    #[test]
+    fn aggregating_registry_keeps_the_aggregates_and_no_log() {
+        let full = Registry::enabled();
+        let agg = Registry::aggregating();
+        let (full_flight, agg_flight) = (feed(&full), feed(&agg));
+        let (a, b) = (full.snapshot(), agg.snapshot());
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.gauges, b.gauges);
+        assert_eq!(b.counters.get("pairs"), Some(&12));
+        let counts = |s: &Snapshot| -> BTreeMap<&str, u64> {
+            s.hists.iter().map(|(&n, h)| (n, h.count())).collect()
+        };
+        assert_eq!(counts(&a), counts(&b));
+        assert_eq!(counts(&b), BTreeMap::from([("inner", 6), ("outer", 2)]));
+        let deltas =
+            |f: &FlightRecorder| -> Vec<_> { f.window().into_iter().map(|s| s.counters).collect() };
+        assert_eq!(deltas(&full_flight), deltas(&agg_flight));
+        assert_eq!(deltas(&agg_flight).len(), 2);
+        assert!(agg.summary().contains("inner"));
+
+        assert_eq!(full.events().len(), 18);
+        assert!(agg.events().is_empty());
+        let mut buf = Vec::new();
+        agg.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(
+            text.lines().all(|l| l.starts_with("{\"type\":\"hist\"")),
+            "{text}"
+        );
+        assert_eq!(text.lines().count(), 2);
+        let mut buf = Vec::new();
+        agg.write_chrome_trace(&mut buf).unwrap();
+        assert_eq!(String::from_utf8(buf).unwrap(), "{\"traceEvents\":[]}\n");
     }
 
     #[test]

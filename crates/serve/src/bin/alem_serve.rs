@@ -114,7 +114,14 @@ fn run() -> i32 {
         }
     };
     sigshim::install();
-    let obs = Registry::enabled();
+    // The per-event log grows with every request and only the
+    // `--metrics-out` sink reads it; the metrics op and the flight
+    // recorder read the aggregates.
+    let obs = if args.metrics_out.is_some() {
+        Registry::enabled()
+    } else {
+        Registry::aggregating()
+    };
     obs.set_run_id("alem-serve");
     // Flight recorder: the service's black box. Dumps land next to the
     // session checkpoints so one directory holds everything needed for a

@@ -920,6 +920,10 @@ mod tests {
     use alem_core::oracle::AnswerKey;
 
     fn fleet(tag: &str, max_sessions: usize) -> Fleet {
+        fleet_with(tag, max_sessions, Registry::enabled())
+    }
+
+    fn fleet_with(tag: &str, max_sessions: usize, obs: Registry) -> Fleet {
         let dir = std::env::temp_dir().join(format!("alem-fleet-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         Fleet::new(FleetConfig {
@@ -927,7 +931,7 @@ mod tests {
             max_sessions,
             answer_deadline: Duration::from_secs(60),
             checkpoint_every: 3,
-            obs: Registry::enabled(),
+            obs,
             flight: None,
             chaos_die_at_checkpoint: None,
         })
@@ -1062,6 +1066,28 @@ mod tests {
         assert!(text.contains("serve_query_to_batch{quantile=\"0.9\"}"));
         // No flight recorder configured → no windowed fields.
         assert!(r.q2b_win_count.is_none());
+    }
+
+    #[test]
+    fn aggregating_registry_serves_the_same_metrics_without_a_log() {
+        let run = |tag: &str, obs: Registry| {
+            let fleet = fleet_with(tag, 20, obs);
+            for i in 0..20 {
+                let name = format!("s{i}");
+                assert!(fleet.handle(&Request::open(&name, "toy", i, "margin")).ok);
+                let done = drive_to_completion(&fleet, &name, i);
+                assert_eq!(done.state.as_deref(), Some("done"));
+            }
+            let m = fleet.handle(&Request::new("metrics"));
+            (fleet, m.counters.unwrap(), m.q2b_count.unwrap())
+        };
+        let (full, full_counters, full_q2b) = run("log", Registry::enabled());
+        let (agg, agg_counters, agg_q2b) = run("nolog", Registry::aggregating());
+        assert!(!full.obs().events().is_empty());
+        assert!(agg.obs().events().is_empty());
+        assert_eq!(agg_counters, full_counters);
+        assert_eq!(agg_q2b, full_q2b);
+        assert!(agg.obs().counter_value("serve.sessions_completed") == 20);
     }
 
     #[test]
