@@ -51,6 +51,14 @@ impl Source {
     }
 }
 
+/// The error for example `i` at or past the end of a universe of `n`
+/// examples.
+fn outside_universe(i: usize, n: usize) -> AlemError {
+    AlemError::InvalidConfig(format!(
+        "oracle asked for example {i}, but it labels only {n}"
+    ))
+}
+
 /// One answer from a fallible Oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleAnswer {
@@ -67,7 +75,9 @@ pub enum OracleAnswer {
 pub trait QueryOracle: Send + Sync {
     /// Ask for the label of example `i`. `Err(OracleUnavailable)` models a
     /// transient outage the caller may retry; `Ok(Abstain)` is a definitive
-    /// "no answer" for this query.
+    /// "no answer" for this query. An example at or past
+    /// [`QueryOracle::universe`] is `Err(InvalidConfig)`, returned before
+    /// any failure, abstention or noise is drawn or counted.
     fn try_label(&self, i: usize) -> Result<OracleAnswer, AlemError>;
 
     /// Number of labels asked so far (every vote counts, see
@@ -219,12 +229,9 @@ impl std::fmt::Debug for Oracle {
 
 impl QueryOracle for Oracle {
     fn try_label(&self, i: usize) -> Result<OracleAnswer, AlemError> {
-        let label = self.label(i).ok_or_else(|| {
-            AlemError::InvalidConfig(format!(
-                "oracle asked for example {i}, but it labels only {}",
-                self.universe()
-            ))
-        })?;
+        let label = self
+            .label(i)
+            .ok_or_else(|| outside_universe(i, self.universe()))?;
         Ok(OracleAnswer::Label(label))
     }
 
@@ -296,6 +303,10 @@ impl<O: QueryOracle> TransientOracle<O> {
 
 impl<O: QueryOracle> QueryOracle for TransientOracle<O> {
     fn try_label(&self, i: usize) -> Result<OracleAnswer, AlemError> {
+        let n = self.inner.universe();
+        if i >= n {
+            return Err(outside_universe(i, n));
+        }
         {
             let mut burst = self.fail_burst.lock();
             if *burst > 0 {
@@ -371,6 +382,10 @@ impl<O: QueryOracle> AbstainingOracle<O> {
 
 impl<O: QueryOracle> QueryOracle for AbstainingOracle<O> {
     fn try_label(&self, i: usize) -> Result<OracleAnswer, AlemError> {
+        let n = self.inner.universe();
+        if i >= n {
+            return Err(outside_universe(i, n));
+        }
         if self.abstain_rate > 0.0 && self.rng.lock().gen_bool(self.abstain_rate) {
             *self.abstentions.lock() += 1;
             return Ok(OracleAnswer::Abstain);
@@ -700,6 +715,43 @@ mod tests {
         let a: Vec<Option<bool>> = (0..50).map(|i| noisy.label(i)).collect();
         let b: Vec<Option<bool>> = (0..50).map(|i| fresh.label(i)).collect();
         assert_eq!(a, b);
+    }
+
+    /// Eight `try_label(3)` calls on a decorator over a 3-example Oracle
+    /// all err with `InvalidConfig` and leave `drawn` at 0; the in-range
+    /// answers that follow equal those of `twin`, which never saw them.
+    fn assert_rejected_before_the_draw<O: QueryOracle>(o: &O, twin: &O, drawn: fn(&O) -> u64) {
+        for _ in 0..8 {
+            assert!(matches!(o.try_label(3), Err(AlemError::InvalidConfig(_))));
+        }
+        assert_eq!(drawn(o), 0);
+        assert_eq!(o.queries(), 0);
+        let answers = |o: &O| -> Vec<_> { (0..24).map(|i| o.try_label(i % 3)).collect() };
+        assert_eq!(answers(o), answers(twin));
+        assert_eq!(drawn(o), drawn(twin));
+        assert!(drawn(o) > 0);
+    }
+
+    #[test]
+    fn decorators_reject_out_of_range_examples_before_drawing() {
+        let perfect = || Oracle::perfect(vec![true; 3]);
+        let transient = || TransientOracle::new(perfect(), 0.5, 4).unwrap();
+        assert_rejected_before_the_draw(&transient(), &transient(), TransientOracle::failures);
+        let abstaining = || AbstainingOracle::new(perfect(), 0.5, 4).unwrap();
+        assert_rejected_before_the_draw(
+            &abstaining(),
+            &abstaining(),
+            AbstainingOracle::abstentions,
+        );
+        // A scripted failure is not spent on a rejected call either.
+        let o = transient();
+        o.script_failures(1);
+        assert!(matches!(o.try_label(3), Err(AlemError::InvalidConfig(_))));
+        assert_eq!(o.failures(), 0);
+        assert!(matches!(
+            o.try_label(0),
+            Err(AlemError::OracleUnavailable { .. })
+        ));
     }
 
     #[test]
