@@ -37,9 +37,10 @@ pub struct ActiveEnsembleStrategy<T: Trainer> {
 }
 
 impl<T: Trainer> ActiveEnsembleStrategy<T> {
-    /// Active ensemble over `trainer` with acceptance threshold `tau`.
+    /// Active ensemble over `trainer` with acceptance threshold `tau`;
+    /// `fit` rejects a `tau` outside `[0, 1]` (NaN too) with
+    /// [`AlemError::InvalidConfig`].
     pub fn new(trainer: T, tau: f64) -> Self {
-        assert!((0.0..=1.0).contains(&tau), "tau must be a probability");
         ActiveEnsembleStrategy {
             trainer,
             tau,
@@ -71,6 +72,12 @@ impl<T: Trainer> Strategy for ActiveEnsembleStrategy<T> {
         labeled: &[(usize, bool)],
         rng: &mut StdRng,
     ) -> Result<(), AlemError> {
+        if !(0.0..=1.0).contains(&self.tau) {
+            return Err(AlemError::InvalidConfig(format!(
+                "tau must be a probability in [0, 1], got {}",
+                self.tau
+            )));
+        }
         // Covered examples were pruned from the pools in post_label, so the
         // candidate is trained on exactly the uncovered labeled data.
         let (xs, ys) = labeled_rows(corpus, labeled, false)?;
@@ -214,6 +221,21 @@ mod tests {
         );
         assert_eq!(s.accepted().len(), 1);
         assert!(unlabeled.len() < before, "covered pairs must be pruned");
+    }
+
+    #[test]
+    fn tau_out_of_range_is_a_fit_error() {
+        let c = two_cluster_corpus();
+        let labeled: Vec<(usize, bool)> = (0..30).map(|i| (i, c.truth(i))).collect();
+        for tau in [1.5, f64::NAN] {
+            let mut s = ActiveEnsembleStrategy::new(SvmTrainer::default(), tau);
+            let err = s.fit(&c, &labeled, &mut StdRng::seed_from_u64(5));
+            assert!(
+                matches!(err, Err(AlemError::InvalidConfig(_))),
+                "tau {tau}: {err:?}"
+            );
+            assert!(s.candidate.is_none());
+        }
     }
 
     #[test]

@@ -1366,9 +1366,10 @@ pub struct RandomStrategyBuilder<T: Trainer> {
 
 impl<T: Trainer> RandomStrategyBuilder<T> {
     /// Train on only this fraction of the labeled pool (3:1
-    /// train:validation, like the paper's DeepMatcher runs).
+    /// train:validation, like the paper's DeepMatcher runs). `fit` rejects
+    /// a fraction outside `[0, 1]` (NaN too) with
+    /// [`AlemError::InvalidConfig`].
     pub fn train_frac(mut self, train_frac: f64) -> Self {
-        assert!((0.0..=1.0).contains(&train_frac));
         self.train_frac = train_frac;
         self
     }
@@ -1414,6 +1415,12 @@ impl<T: Trainer> Strategy for RandomStrategy<T> {
         labeled: &[(usize, bool)],
         rng: &mut StdRng,
     ) -> Result<(), AlemError> {
+        if !(0.0..=1.0).contains(&self.train_frac) {
+            return Err(AlemError::InvalidConfig(format!(
+                "train_frac must be in [0, 1], got {}",
+                self.train_frac
+            )));
+        }
         let n_train = ((labeled.len() as f64) * self.train_frac).round().max(1.0) as usize;
         let mut pool: Vec<&(usize, bool)> = labeled.iter().collect();
         pool.shuffle(rng);
@@ -1620,6 +1627,22 @@ mod tests {
         assert_eq!(s.warm_state().unwrap().rounds(), 1);
         // Name (and hence run fingerprints' strategy label) is unaffected.
         assert_eq!(s.name(), "Trees(10)");
+    }
+
+    #[test]
+    fn train_frac_out_of_range_is_a_fit_error() {
+        let c = corpus();
+        let labeled = seed_labeled(&c);
+        for frac in [1.5, f64::NAN] {
+            let mut s = RandomStrategy::builder(SvmTrainer::default(), "Random")
+                .train_frac(frac)
+                .build();
+            let err = s.fit(&c, &labeled, &mut StdRng::seed_from_u64(1));
+            assert!(
+                matches!(err, Err(AlemError::InvalidConfig(_))),
+                "train_frac({frac}): {err:?}"
+            );
+        }
     }
 
     #[test]
