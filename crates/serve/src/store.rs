@@ -4,14 +4,15 @@
 //! (path-safe, see [`crate::proto::valid_session_name`]) name:
 //!
 //! - `<name>.meta.json` — the immutable open-time spec (dataset, seed,
-//!   strategy, params, corpus fingerprint), written once at `open`. This
-//!   is what a cold restart needs to rebuild the machine *before* it can
-//!   even read a checkpoint.
+//!   strategy, params, corpus fingerprint), written once at `open`, atomically
+//!   (tmp + rename). This is what a cold restart needs to rebuild the
+//!   machine *before* it can even read a checkpoint, so a kill mid-write
+//!   must leave no meta rather than a truncated one.
 //! - `<name>.ckpt.json` — the latest iteration-boundary [`Checkpoint`],
 //!   written atomically (tmp + rename) by [`Checkpoint::save`].
 //! - `<name>.done.json` — the terminal record (fingerprint, stats) once
-//!   the session completes, so a restart reports finished sessions
-//!   without replaying them.
+//!   the session completes, written atomically, so a restart reports
+//!   finished sessions without replaying them.
 //!
 //! The `chaos_die_at_checkpoint` hook simulates the worst-timed kill: on
 //! the N-th checkpoint write the process leaves a *truncated* `.tmp`
@@ -98,8 +99,7 @@ impl Store {
     pub fn save_meta(&self, meta: &SessionMeta) -> Result<(), AlemError> {
         let json = serde_json::to_string(meta)
             .map_err(|e| AlemError::Io(format!("serializing meta: {e}")))?;
-        std::fs::write(self.path(&meta.session, "meta"), json)?;
-        Ok(())
+        write_atomic(&self.path(&meta.session, "meta"), &json)
     }
 
     /// Load the open-time spec for `name`.
@@ -113,8 +113,7 @@ impl Store {
     pub fn save_done(&self, done: &DoneRecord) -> Result<(), AlemError> {
         let json = serde_json::to_string(done)
             .map_err(|e| AlemError::Io(format!("serializing done record: {e}")))?;
-        std::fs::write(self.path(&done.session, "done"), json)?;
-        Ok(())
+        write_atomic(&self.path(&done.session, "done"), &json)
     }
 
     /// Load the terminal record for `name`, if the session finished.
@@ -175,6 +174,16 @@ impl Store {
     }
 }
 
+/// Write `json` to a `.tmp` sibling of `path`, then rename it over
+/// `path`, so a kill mid-write leaves the old file or none, never a
+/// truncated one.
+fn write_atomic(path: &Path, json: &str) -> Result<(), AlemError> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, json)?;
+    std::fs::rename(&tmp, path)?;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +227,19 @@ mod tests {
         };
         store.save_done(&done).unwrap();
         assert_eq!(store.load_done("a").unwrap(), done);
+    }
+
+    #[test]
+    fn a_meta_write_killed_before_its_rename_leaves_no_session() {
+        let dir = tmp_dir("torn");
+        let store = Store::open(&dir, None).unwrap();
+        // What a kill between the write and the rename leaves behind.
+        std::fs::write(dir.join("c.meta.tmp"), "{\"session\":").unwrap();
+        assert!(store.list_sessions().unwrap().is_empty());
+        store.save_meta(&meta("c")).unwrap();
+        assert_eq!(store.list_sessions().unwrap(), vec!["c"]);
+        assert_eq!(store.load_meta("c").unwrap(), meta("c"));
+        assert!(!dir.join("c.meta.tmp").exists());
     }
 
     #[test]
