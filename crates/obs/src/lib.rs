@@ -402,7 +402,7 @@ impl Registry {
     /// `span`, `dur_us`, and `iter` fields; events recorded inside a
     /// [`trace_scope`] also carry `trace_id`. Events and histograms are
     /// copied out under the lock and serialized outside it, so a slow sink
-    /// never stalls recording threads. An [`Registry::aggregating`]
+    /// never stalls recording threads. A [`Registry::aggregating`]
     /// registry has no events, so only the histogram lines are written.
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let Some(inner) = &self.inner else {
@@ -451,7 +451,7 @@ impl Registry {
     /// carry the trace id in `args.trace_id`, so one labeling interaction
     /// can be followed across client thread, connection handler, and
     /// session worker. Events are copied out under the lock and serialized
-    /// outside it. An [`Registry::aggregating`] registry writes an empty
+    /// outside it. A [`Registry::aggregating`] registry writes an empty
     /// `traceEvents` array.
     pub fn write_chrome_trace<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let Some(inner) = &self.inner else {
