@@ -9,7 +9,8 @@
 //! builder mode, so a refactor of the selection layer shows any change
 //! in what a session labels or how a pool scores. The tree and linear
 //! margin pins also hold on a lazily extracted corpus, whose rows and
-//! partial cells must carry the eager bits.
+//! partial cells must carry the eager bits. The last test pins how much
+//! of that corpus a lazy margin session computes.
 
 use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
@@ -189,6 +190,20 @@ fn pins_trees_and_margins() -> Vec<Pin> {
             scores: 0x164b_d29b_6f23_a1e5,
         },
         Pin {
+            label: "Linear-Margin, lazy_topk(8)",
+            build: || Box::new(MarginSvmStrategy::builder().lazy_topk(8).build()),
+            max_labels: 140,
+            session: 0xa3dd_b045_f7f4_e376,
+            scores: 0x59de_0b09_e36c_6b72,
+        },
+        Pin {
+            label: "Linear-Margin, warm_start()",
+            build: || Box::new(MarginSvmStrategy::builder().warm_start().build()),
+            max_labels: 140,
+            session: 0xf7ae_2bbe_cce5_801e,
+            scores: 0x59de_0b09_e36c_6b72,
+        },
+        Pin {
             label: "Linear-Margin, lazy_topk(8).warm_start()",
             build: || {
                 Box::new(
@@ -346,4 +361,78 @@ fn neural_net_strategies_are_pinned() {
 #[test]
 fn rule_and_baseline_strategies_are_pinned() {
     check_pins(&pins_rules_and_baselines(), false);
+}
+
+/// Rows a lazy `lazy_topk` session on [`corpus`] materializes and the
+/// partial cells its phase-1 reads fill, cold and warm.
+struct LazyWork {
+    warm: bool,
+    rows: usize,
+    cells: usize,
+}
+
+/// A lazy corpus computes only what the bound rule of the staged margin
+/// scan leaves in doubt, and selects exactly what an eager corpus does.
+/// The session reads three quarters of the dims in phase 1, labels 90
+/// pairs to exhaustion and evaluates on a 10% hold-out with session seed
+/// 7, cold and warm. Its rows built and partial cells filled are pinned
+/// exactly: a change that skips fewer pairs builds more rows. Each lazy
+/// fingerprint must equal the plain margin strategy's on the eager
+/// corpus, at threads 1 and 3.
+#[test]
+fn lazy_margin_sessions_build_pinned_work_and_select_as_eager() {
+    let eager = corpus();
+    let topk = eager.dim() * 3 / 4;
+    let params = LoopParams::builder()
+        .max_labels(90)
+        .eval(EvalMode::Holdout { test_frac: 0.1 })
+        .run_to_exhaustion()
+        .build();
+    let oracle = Oracle::perfect(eager.truths().to_vec());
+    let pins = [
+        LazyWork {
+            warm: false,
+            rows: 737,
+            cells: 119_081,
+        },
+        LazyWork {
+            warm: true,
+            rows: 531,
+            cells: 100_587,
+        },
+    ];
+    for pin in pins {
+        let strategy = |lazy_topk: Option<usize>| {
+            let mut b = MarginSvmStrategy::builder();
+            if let Some(k) = lazy_topk {
+                b = b.lazy_topk(k);
+            }
+            if pin.warm {
+                b = b.warm_start();
+            }
+            b.build()
+        };
+        for threads in [1, 3] {
+            let config = SessionConfig {
+                parallelism: Parallelism::fixed(threads),
+                ..SessionConfig::default()
+            };
+            let run = |c: &Corpus, lazy_topk: Option<usize>| {
+                ActiveLearner::new(strategy(lazy_topk), params.clone())
+                    .run_session(c, &oracle, 7, &config)
+                    .expect("session")
+                    .deterministic_fingerprint()
+            };
+            let lazy = build_corpus(true);
+            let what = format!("warm {}, threads {threads}", pin.warm);
+            assert_eq!(run(&lazy, Some(topk)), run(&eager, None), "{what}");
+            let store = lazy.store();
+            assert_eq!(
+                (store.materialized_rows(), store.partial_cells_filled()),
+                (pin.rows, pin.cells),
+                "{what}"
+            );
+            assert!(pin.rows < lazy.len(), "{what}");
+        }
+    }
 }
