@@ -346,11 +346,20 @@ impl Corpus {
     /// Stratified hold-out split preserving class skew (the conventional
     /// 80/20 supervised split of §6.2). Returns `(train_pool, test)`
     /// example indices, shuffled.
-    pub fn split_holdout<R: Rng>(&self, test_frac: f64, rng: &mut R) -> (Vec<usize>, Vec<usize>) {
-        assert!(
-            (0.0..1.0).contains(&test_frac),
-            "test_frac must be in [0,1)"
-        );
+    ///
+    /// # Errors
+    /// [`AlemError::InvalidConfig`] when `test_frac` is outside `[0, 1)`
+    /// (NaN included).
+    pub fn split_holdout<R: Rng>(
+        &self,
+        test_frac: f64,
+        rng: &mut R,
+    ) -> Result<(Vec<usize>, Vec<usize>), AlemError> {
+        if !(0.0..1.0).contains(&test_frac) {
+            return Err(AlemError::InvalidConfig(format!(
+                "hold-out test_frac must be in [0, 1), got {test_frac}"
+            )));
+        }
         let mut pos: Vec<usize> = (0..self.len()).filter(|&i| self.truth[i]).collect();
         let mut neg: Vec<usize> = (0..self.len()).filter(|&i| !self.truth[i]).collect();
         pos.shuffle(rng);
@@ -363,7 +372,7 @@ impl Corpus {
         train.extend(&neg[neg_test..]);
         train.shuffle(rng);
         test.shuffle(rng);
-        (train, test)
+        Ok((train, test))
     }
 }
 
@@ -430,7 +439,7 @@ mod tests {
     fn holdout_preserves_skew() {
         let c = toy(100);
         let mut rng = StdRng::seed_from_u64(5);
-        let (train, test) = c.split_holdout(0.2, &mut rng);
+        let (train, test) = c.split_holdout(0.2, &mut rng).unwrap();
         assert_eq!(train.len() + test.len(), 100);
         assert_eq!(test.len(), 20);
         let skew =
@@ -443,11 +452,26 @@ mod tests {
     fn holdout_disjoint_and_complete() {
         let c = toy(60);
         let mut rng = StdRng::seed_from_u64(6);
-        let (train, test) = c.split_holdout(0.25, &mut rng);
+        let (train, test) = c.split_holdout(0.25, &mut rng).unwrap();
         let mut all: Vec<usize> = train.iter().chain(test.iter()).copied().collect();
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 60);
+    }
+
+    #[test]
+    fn holdout_rejects_a_fraction_outside_unit_interval() {
+        let c = toy(20);
+        let mut rng = StdRng::seed_from_u64(6);
+        for frac in [1.0, -0.1, f64::NAN] {
+            assert!(
+                matches!(
+                    c.split_holdout(frac, &mut rng),
+                    Err(AlemError::InvalidConfig(_))
+                ),
+                "test_frac {frac}"
+            );
+        }
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use super::{bottom_k_asc, Selection};
 use crate::corpus::Corpus;
+use crate::error::AlemError;
 use alem_obs::Registry;
 use mlcore::svm::LinearSvm;
 use rand::rngs::StdRng;
@@ -51,11 +52,30 @@ fn signature(planes: &[Vec<f64>], x: &[f64]) -> u64 {
     sig
 }
 
+/// `Ok` when `bits` is a signature width one `u64` can hold.
+pub(crate) fn check_bits(bits: usize) -> Result<(), AlemError> {
+    if (1..=MAX_BITS).contains(&bits) {
+        Ok(())
+    } else {
+        Err(AlemError::InvalidConfig(format!(
+            "LSH signature bits must be in 1..={MAX_BITS}, got {bits}"
+        )))
+    }
+}
+
 impl HyperplaneLsh {
-    /// Build an index with `bits`-bit signatures (≤ 64) over every corpus
+    /// Build an index with `bits`-bit signatures over every corpus
     /// example. This is the one-off preprocessing cost.
-    pub fn build(corpus: &Corpus, bits: usize, rng: &mut StdRng, obs: &Registry) -> Self {
-        assert!((1..=MAX_BITS).contains(&bits), "bits must be in 1..=64");
+    ///
+    /// # Errors
+    /// [`AlemError::InvalidConfig`] when `bits` is outside `1..=MAX_BITS`.
+    pub fn build(
+        corpus: &Corpus,
+        bits: usize,
+        rng: &mut StdRng,
+        obs: &Registry,
+    ) -> Result<Self, AlemError> {
+        check_bits(bits)?;
         let build_span = obs.span("select.index_build");
         let dim = corpus.dim();
         // alem-lint: allow(flat-feature-store) -- `bits` random hyperplanes, not a per-pair feature matrix
@@ -66,11 +86,11 @@ impl HyperplaneLsh {
             .map(|i| signature(&planes, corpus.x(i)))
             .collect();
         build_span.finish();
-        HyperplaneLsh {
+        Ok(HyperplaneLsh {
             planes,
             signatures,
             bits,
-        }
+        })
     }
 
     /// Signature width in bits.
@@ -139,7 +159,7 @@ mod tests {
     fn build_produces_signatures_for_all() {
         let c = ring_corpus(100);
         let mut rng = StdRng::seed_from_u64(1);
-        let lsh = HyperplaneLsh::build(&c, 32, &mut rng, &Registry::disabled());
+        let lsh = HyperplaneLsh::build(&c, 32, &mut rng, &Registry::disabled()).unwrap();
         assert_eq!(lsh.signatures.len(), 100);
         assert_eq!(lsh.bits(), 32);
     }
@@ -148,7 +168,7 @@ mod tests {
     fn selects_near_hyperplane_points() {
         let c = ring_corpus(360);
         let mut rng = StdRng::seed_from_u64(1);
-        let lsh = HyperplaneLsh::build(&c, 48, &mut rng, &Registry::disabled());
+        let lsh = HyperplaneLsh::build(&c, 48, &mut rng, &Registry::disabled()).unwrap();
         let svm = LinearSvm::from_parts(vec![1.0, 0.0], 0.0);
         let unlabeled: Vec<usize> = (0..360).collect();
         let sel = lsh.select(&svm, &c, &unlabeled, 10, 4, &mut rng, &Registry::disabled());
@@ -167,7 +187,7 @@ mod tests {
     fn oversample_one_still_fills_batch() {
         let c = ring_corpus(50);
         let mut rng = StdRng::seed_from_u64(2);
-        let lsh = HyperplaneLsh::build(&c, 16, &mut rng, &Registry::disabled());
+        let lsh = HyperplaneLsh::build(&c, 16, &mut rng, &Registry::disabled()).unwrap();
         let svm = LinearSvm::from_parts(vec![0.3, 0.7], 0.1);
         let unlabeled: Vec<usize> = (0..50).collect();
         let sel = lsh.select(&svm, &c, &unlabeled, 7, 1, &mut rng, &Registry::disabled());
@@ -175,10 +195,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bits must be in 1..=64")]
     fn rejects_oversized_signatures() {
         let c = ring_corpus(10);
         let mut rng = StdRng::seed_from_u64(1);
-        let _ = HyperplaneLsh::build(&c, 65, &mut rng, &Registry::disabled());
+        for bits in [0, MAX_BITS + 1] {
+            let built = HyperplaneLsh::build(&c, bits, &mut rng, &Registry::disabled());
+            assert!(
+                matches!(built, Err(AlemError::InvalidConfig(_))),
+                "bits {bits}"
+            );
+        }
     }
 }

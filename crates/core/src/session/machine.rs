@@ -334,7 +334,7 @@ impl<S: Strategy> SessionMachine<S> {
 
         let (mut pool, eval_idx): (Vec<usize>, Vec<usize>) = match self.params.eval {
             EvalMode::Progressive => ((0..corpus.len()).collect(), (0..corpus.len()).collect()),
-            EvalMode::Holdout { test_frac } => corpus.split_holdout(test_frac, &mut eval_rng),
+            EvalMode::Holdout { test_frac } => corpus.split_holdout(test_frac, &mut eval_rng)?,
         };
         pool.sort_unstable();
         pool.shuffle(&mut pool_rng);

@@ -965,6 +965,7 @@ impl Strategy for LshMarginStrategy {
         labeled: &[(usize, bool)],
         rng: &mut StdRng,
     ) -> Result<(), AlemError> {
+        selector::lsh::check_bits(self.bits)?;
         let (xs, ys) = labeled_rows(corpus, labeled, false)?;
         self.model = Some(self.trainer.train(&xs, &ys, rng));
         Ok(())
@@ -983,9 +984,8 @@ impl Strategy for LshMarginStrategy {
             return Selection::default();
         }
         if self.index.is_none() {
-            self.index = Some(selector::lsh::HyperplaneLsh::build(
-                corpus, self.bits, rng, obs,
-            ));
+            // `fit` rejected a bad width, so a model implies a good one.
+            self.index = selector::lsh::HyperplaneLsh::build(corpus, self.bits, rng, obs).ok();
         }
         match (self.model.as_ref(), self.index.as_ref()) {
             (Some(svm), Some(index)) => {
@@ -1576,12 +1576,33 @@ mod tests {
         let mut labeled = seed_labeled(&c);
         let mut rng = StdRng::seed_from_u64(1);
         let mut s = MarginSvmStrategy::builder().warm_start().build();
+        // Pegasos steps taken so far. A cold fit takes `epochs` passes
+        // over every label; a warm round takes `max(epochs / 5, 2)` passes
+        // over its new labels plus a replay of at most `WARM_REPLAY_CAP`
+        // older ones, so its cost stops growing with the labeled pool.
+        let steps = |s: &MarginSvmStrategy| match s.warm_state() {
+            Some(crate::model_io::WarmState::Svm { state, .. }) => state.t,
+            other => panic!("no warm SVM state: {other:?}"),
+        };
+        let epochs = SvmTrainer::default().0.epochs;
+        let warm_round =
+            |s: &mut MarginSvmStrategy, labeled: &[(usize, bool)], rng: &mut StdRng| {
+                let (before, seen) = (steps(s), s.seen);
+                s.fit(&c, labeled, rng).unwrap();
+                let trained = labeled.len() - seen + WARM_REPLAY_CAP.min(seen);
+                assert_eq!(
+                    steps(s) - before,
+                    ((epochs / 5).max(2) * trained) as u64,
+                    "{seen} labels seen"
+                );
+            };
         s.fit(&c, &labeled, &mut rng).unwrap();
         assert_eq!(s.warm_state().unwrap().rounds(), 0);
+        assert_eq!(steps(&s), (epochs * labeled.len()) as u64);
         // New labels arrive; the next fits continue the optimization.
         for &i in &[2, 12, 22, 32, 42, 52] {
             labeled.push((i, c.truth(i)));
-            s.fit(&c, &labeled, &mut rng).unwrap();
+            warm_round(&mut s, &labeled, &mut rng);
         }
         assert_eq!(s.warm_state().unwrap().rounds(), 6);
         assert!(s.predict(&c, 79));
@@ -1600,6 +1621,16 @@ mod tests {
         s.fit(&c, &labeled, &mut rng_a).unwrap();
         restored.fit(&c, &labeled, &mut rng_b).unwrap();
         assert_eq!(s.model().unwrap(), restored.model().unwrap());
+
+        // Past `WARM_REPLAY_CAP` labels the replay stops growing.
+        let fresh: Vec<usize> = (0..80)
+            .filter(|i| !labeled.iter().any(|(j, _)| j == i))
+            .collect();
+        for batch in fresh.chunks(20).take(3) {
+            labeled.extend(batch.iter().map(|&i| (i, c.truth(i))));
+            warm_round(&mut s, &labeled, &mut rng);
+        }
+        assert!(s.seen > 2 * WARM_REPLAY_CAP);
     }
 
     #[test]
@@ -1642,6 +1673,24 @@ mod tests {
                 matches!(err, Err(AlemError::InvalidConfig(_))),
                 "train_frac({frac}): {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn lsh_bits_out_of_range_is_a_fit_error() {
+        let c = corpus();
+        let labeled = seed_labeled(&c);
+        let unlabeled: Vec<usize> = (0..80).filter(|i| i % 10 != 5).collect();
+        for bits in [0, selector::lsh::MAX_BITS + 1] {
+            let mut s = LshMarginStrategy::new(SvmTrainer::default(), bits, 4);
+            let err = s.fit(&c, &labeled, &mut StdRng::seed_from_u64(1));
+            assert!(
+                matches!(err, Err(AlemError::InvalidConfig(_))),
+                "bits {bits}: {err:?}"
+            );
+            let mut rng = StdRng::seed_from_u64(2);
+            let sel = s.select(&c, &labeled, &unlabeled, 5, &mut rng, &Registry::disabled());
+            assert!(sel.chosen.is_empty(), "bits {bits}");
         }
     }
 
