@@ -115,9 +115,11 @@ struct Job {
     seed: u64,
     /// Chaos decision bits (0 = clean client).
     chaos: u64,
-    /// Send the `crash` op once instead of answering (recovers after the
-    /// next restart).
+    /// Send the `crash` op instead of answering until the server replies
+    /// to one (the session recovers after the next restart).
     crash: bool,
+    /// A `crash` op went out and the server died before it replied.
+    crash_unanswered: bool,
 }
 
 #[derive(Default)]
@@ -243,11 +245,22 @@ fn drive(shared: &Shared, mut job: Job) -> Drove {
                     continue;
                 }
                 if job.crash && shared.allow_crash_ops.load(Ordering::SeqCst) {
-                    job.crash = false;
                     let mut crash = Request::new("crash");
                     crash.session = Some(job.session.clone());
+                    if job.crash_unanswered {
+                        eprintln!(
+                            "serve-load: re-sending the crash op for '{}' (no reply before the server died)",
+                            job.session
+                        );
+                    }
                     shared.stats.crashes_sent.fetch_add(1, Ordering::SeqCst);
-                    let _ = call(&mut client, &crash);
+                    // The fleet writes the post-mortem dump before it
+                    // replies, so only a reply retires the op. One the
+                    // dying generation swallowed goes to the next.
+                    match call(&mut client, &crash) {
+                        Ok(_) => job.crash = false,
+                        Err(_) => job.crash_unanswered = true,
+                    }
                     return Drove::Requeue(job);
                 }
                 if job.chaos & 1 != 0 {
@@ -475,6 +488,7 @@ fn run() -> i32 {
                 seed: 1000 + i as u64,
                 chaos: if args.chaos { h } else { 0 },
                 crash: args.chaos && args.kill_restart && i % 31 == 5,
+                crash_unanswered: false,
             }
         })
         .collect();
