@@ -1225,4 +1225,68 @@ mod tests {
         }
         panic!("silent session never failed");
     }
+
+    /// A fleet with one live `toy` session, and valid `open`, `answer`,
+    /// `abstain` and `poll` frames for that session.
+    fn mutation_target() -> &'static (Fleet, [Vec<u8>; 4]) {
+        static TARGET: std::sync::OnceLock<(Fleet, [Vec<u8>; 4])> = std::sync::OnceLock::new();
+        TARGET.get_or_init(|| {
+            let fleet = fleet("mutants", 4);
+            let open = Request::open("s1", "toy", 7, "margin");
+            let pending = fleet.handle(&open).pending.unwrap_or_default();
+            let (Some(&first), Some(&last)) = (pending.first(), pending.last()) else {
+                panic!("the session must be awaiting answers");
+            };
+            let frames = [
+                open,
+                Request::answer("s1", first, true),
+                Request::abstain("s1", last),
+                Request::poll("s1"),
+            ]
+            .map(|r| proto::encode(&r).into_bytes());
+            (fleet, frames)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+        /// One byte of a valid frame replaced, or the frame cut short:
+        /// decoding never panics, and a mutant that still decodes gets
+        /// an `ok` reply or one that carries an `ERR_*` code.
+        #[test]
+        fn mutated_frames_are_answered_not_panicked(
+            frame in 0..4usize,
+            at in 0..4096usize,
+            byte in 0..=255u8,
+            cut in 0..8u8,
+        ) {
+            let (fleet, frames) = mutation_target();
+            let mut bytes = frames[frame].clone();
+            let at = at % bytes.len();
+            if cut == 0 {
+                bytes.truncate(at);
+            } else {
+                bytes[at] = byte;
+            }
+            if let Ok(req) = proto::decode_request(&String::from_utf8_lossy(&bytes)) {
+                if req.op != "crash" && req.op != "drain" {
+                    let r = fleet.handle(&req);
+                    let codes = [
+                        proto::ERR_MALFORMED,
+                        proto::ERR_BUSY,
+                        proto::ERR_UNKNOWN_SESSION,
+                        proto::ERR_EXISTS,
+                        proto::ERR_DRAINING,
+                        proto::ERR_INVALID,
+                    ];
+                    proptest::prop_assert!(
+                        r.ok || r.error.as_deref().is_some_and(|e| codes.contains(&e)),
+                        "{:?} got {:?}",
+                        String::from_utf8_lossy(&bytes),
+                        r.error
+                    );
+                }
+            }
+        }
+    }
 }
