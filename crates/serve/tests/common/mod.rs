@@ -9,7 +9,8 @@
 use alem_core::oracle::OracleAnswer;
 use alem_serve::client::Client;
 use alem_serve::dataset;
-use alem_serve::proto::Request;
+use alem_serve::proto::{self, Request};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -62,6 +63,10 @@ impl TestServer {
         }
     }
 
+    pub fn raw(&self) -> RawConn {
+        RawConn::connect(&self.addr)
+    }
+
     pub fn client(&self) -> Client {
         let t = Instant::now();
         loop {
@@ -107,6 +112,76 @@ impl Drop for TestServer {
     }
 }
 
+/// A connection that writes raw bytes and returns each reply line
+/// exactly as the server wrote it, without its newline.
+pub struct RawConn {
+    reader: BufReader<Box<dyn Read + Send>>,
+    writer: Box<dyn Write + Send>,
+}
+
+impl RawConn {
+    pub fn connect(addr: &str) -> RawConn {
+        let t = Instant::now();
+        loop {
+            match RawConn::try_connect(addr) {
+                Ok(c) => return c,
+                Err(e) => {
+                    assert!(t.elapsed() < Duration::from_secs(10), "cannot connect: {e}");
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            }
+        }
+    }
+
+    fn try_connect(addr: &str) -> std::io::Result<RawConn> {
+        let timeout = Some(Duration::from_secs(60));
+        #[cfg(unix)]
+        if addr.contains('/') {
+            let s = std::os::unix::net::UnixStream::connect(addr)?;
+            s.set_read_timeout(timeout)?;
+            return Ok(RawConn {
+                reader: BufReader::new(Box::new(s.try_clone()?)),
+                writer: Box::new(s),
+            });
+        }
+        let s = std::net::TcpStream::connect(addr)?;
+        s.set_nodelay(true)?;
+        s.set_read_timeout(timeout)?;
+        Ok(RawConn {
+            reader: BufReader::new(Box::new(s.try_clone()?)),
+            writer: Box::new(s),
+        })
+    }
+
+    /// Write `bytes` as they are (no newline is added).
+    pub fn write(&mut self, bytes: &[u8]) {
+        self.writer.write_all(bytes).expect("write frame");
+        self.writer.flush().expect("flush frame");
+    }
+
+    /// Block for the next reply line.
+    pub fn reply(&mut self) -> String {
+        let mut line = String::new();
+        let n = self.reader.read_line(&mut line).expect("read reply");
+        assert!(n > 0, "server closed the connection");
+        line.truncate(line.trim_end_matches('\n').len());
+        line
+    }
+
+    /// Send `bytes` and a newline in one write; return the reply line.
+    pub fn send(&mut self, bytes: &[u8]) -> String {
+        let mut frame = bytes.to_vec();
+        frame.push(b'\n');
+        self.write(&frame);
+        self.reply()
+    }
+
+    /// Send `req`; return the reply line.
+    pub fn call(&mut self, req: &Request) -> String {
+        self.send(proto::encode(req).as_bytes())
+    }
+}
+
 fn wait_exit(child: &mut Child, max: Duration) -> Option<std::process::ExitStatus> {
     let t = Instant::now();
     loop {
@@ -121,7 +196,6 @@ fn wait_exit(child: &mut Child, max: Duration) -> Option<std::process::ExitStatu
 /// Block until the server announces its address; returns that address
 /// (the real port when bound to port 0).
 fn wait_listening(child: &mut Child) -> String {
-    use std::io::{BufRead, BufReader, Read};
     let stdout = child.stdout.take().expect("stdout");
     let mut reader = BufReader::new(stdout);
     let mut line = String::new();
