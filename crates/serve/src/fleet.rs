@@ -29,6 +29,20 @@
 //! answers `busy` with a `retry_after_ms` hint sized from the
 //! [`RetryPolicy`] the rest of the workspace already uses. Nothing queues
 //! server-side; the client owns the retry schedule.
+//!
+//! # Finished sessions
+//!
+//! A finished session's result lives in its durable `<name>.done.json`.
+//! Once the record is written, the session leaves the session map for a
+//! map of finished names, which keeps no `Session` and no record: `poll`,
+//! `answer` and `crash` read the record back from disk. So the memory, the
+//! deadline sweep and the drain of a fleet do not grow with sessions
+//! served. A restart lists the state directory once and registers every
+//! session with a done record by name, without reading its files; the
+//! checks a restart runs (meta, corpus fingerprint, done record, else
+//! resume or replay) run at the first request that needs the record.
+//! Until then `healthz` counts such a session as done. A session whose
+//! record could not be written keeps it in memory.
 
 use crate::dataset;
 use crate::proto::{self, Request, Response};
@@ -131,15 +145,22 @@ impl Default for FleetConfig {
 
 type Machine = SessionMachine<Box<dyn Strategy + Send>>;
 
+/// What a call into a machine under `catch_unwind` returned.
+type Call = Result<Result<(), AlemError>, Box<dyn std::any::Any + Send>>;
+
 enum SessState {
-    Live(Box<Machine>),
-    Done(DoneRecord),
+    Live(Box<Machine>, Arc<Corpus>),
+    /// Finished; `on_disk` once the done record is durable, and the
+    /// session then moves to the finished names.
+    Done {
+        record: DoneRecord,
+        on_disk: bool,
+    },
     Poisoned(String),
 }
 
 struct Session {
     name: String,
-    corpus: Arc<Corpus>,
     state: SessState,
     /// (example, asked-at) for the current wave, for deadline sweeping.
     asked_at: Vec<(usize, Instant)>,
@@ -154,6 +175,59 @@ struct Session {
     resumed: bool,
 }
 
+impl Session {
+    fn new(name: &str, state: SessState, resumed: bool) -> Session {
+        Session {
+            name: name.to_string(),
+            state,
+            asked_at: Vec::new(),
+            wave_span: None,
+            wave_max_id: None,
+            last_ckpt: None,
+            resumed,
+        }
+    }
+
+    /// Finished, with the result in its durable done record.
+    fn on_disk(&self) -> bool {
+        matches!(self.state, SessState::Done { on_disk: true, .. })
+    }
+}
+
+/// A finished session whose result lives only in its done record.
+#[derive(Clone, Copy)]
+struct Finished {
+    /// The `resumed` flag its replies carry.
+    resumed: bool,
+    /// Whether the restore checks ran; a restart registers a finished
+    /// session by name, and its first request runs them.
+    checked: bool,
+}
+
+/// The session registry: every name is in exactly one of the two maps.
+#[derive(Default)]
+struct Sessions {
+    /// Live and failed sessions, and finished ones whose done record
+    /// could not be written.
+    held: BTreeMap<String, Arc<Mutex<Session>>>,
+    /// Finished sessions whose result is on disk.
+    finished: BTreeMap<String, Finished>,
+}
+
+/// What a session's files hold once the restore checks passed.
+enum Restored {
+    /// A readable done record.
+    Done(DoneRecord),
+    /// A machine resumed from the checkpoint, or replayed from the seed,
+    /// and not yet settled.
+    Started {
+        machine: Box<Machine>,
+        corpus: Arc<Corpus>,
+        call: Call,
+        from_ckpt: bool,
+    },
+}
+
 /// The multi-session service core. All methods are callable from any
 /// thread; per-session work is serialized by the session's own mutex.
 pub struct Fleet {
@@ -161,7 +235,7 @@ pub struct Fleet {
     store: Store,
     retry: RetryPolicy,
     corpora: Mutex<BTreeMap<String, Arc<Corpus>>>,
-    sessions: Mutex<BTreeMap<String, Arc<Mutex<Session>>>>,
+    sessions: Mutex<Sessions>,
     draining: AtomicBool,
     // State counts are tracked at transitions instead of by walking the
     // registry: transition sites hold the session's own lock, and taking
@@ -179,7 +253,7 @@ impl Fleet {
             store,
             retry: RetryPolicy::default(),
             corpora: Mutex::new(BTreeMap::new()),
-            sessions: Mutex::new(BTreeMap::new()),
+            sessions: Mutex::new(Sessions::default()),
             draining: AtomicBool::new(false),
             n_live: AtomicI64::new(0),
             n_done: AtomicI64::new(0),
@@ -218,8 +292,97 @@ impl Fleet {
         Ok(c)
     }
 
-    fn get(&self, name: &str) -> Option<Arc<Mutex<Session>>> {
-        self.sessions.lock().get(name).map(Arc::clone)
+    fn exists(&self, name: &str) -> bool {
+        let sessions = self.sessions.lock();
+        sessions.held.contains_key(name) || sessions.finished.contains_key(name)
+    }
+
+    /// The named session. A finished one is read back from disk into a
+    /// fresh session first. That session is published already locked by
+    /// this thread, so a request racing this one waits for the read
+    /// instead of reading twice; no other thread can hold its lock, so
+    /// taking the map lock under it cannot deadlock.
+    fn find(&self, name: &str) -> Option<Arc<Mutex<Session>>> {
+        {
+            let sessions = self.sessions.lock();
+            if let Some(sess) = sessions.held.get(name) {
+                return Some(Arc::clone(sess));
+            }
+            if !sessions.finished.contains_key(name) {
+                return None;
+            }
+        }
+        // What the session reads as if this thread dies mid-read.
+        let unread = SessState::Poisoned(format!("reading back '{name}' did not finish"));
+        let slot = Arc::new(Mutex::new(Session::new(name, unread, true)));
+        let mut s = slot.lock();
+        let finished = {
+            let mut sessions = self.sessions.lock();
+            if let Some(sess) = sessions.held.get(name) {
+                return Some(Arc::clone(sess));
+            }
+            let finished = sessions.finished.remove(name)?;
+            sessions.held.insert(name.to_string(), Arc::clone(&slot));
+            finished
+        };
+        *s = self.read_back(name, finished);
+        drop(s);
+        Some(slot)
+    }
+
+    /// A finished session rebuilt from disk: from its done record once
+    /// the restore checks ran, else as a restart rebuilds it.
+    fn read_back(&self, name: &str, finished: Finished) -> Session {
+        if finished.checked {
+            if let Some(record) = self.store.load_done(name) {
+                let state = SessState::Done {
+                    record,
+                    on_disk: true,
+                };
+                return Session::new(name, state, finished.resumed);
+            }
+        }
+        self.rehydrate(name, true)
+    }
+
+    /// Run `op` under the session's lock. If the session is then finished
+    /// with its record on disk, move it to the finished names; the map
+    /// lock is taken only after the session lock is released.
+    fn with_locked<R>(&self, sess: &Arc<Mutex<Session>>, op: impl FnOnce(&mut Session) -> R) -> R {
+        let mut s = sess.lock();
+        let out = op(&mut s);
+        let retire = s.on_disk().then(|| (s.name.clone(), s.resumed));
+        drop(s);
+        if let Some((name, resumed)) = retire {
+            let mut sessions = self.sessions.lock();
+            if sessions
+                .held
+                .get(&name)
+                .is_some_and(|held| Arc::ptr_eq(held, sess))
+            {
+                sessions.held.remove(&name);
+                let checked = true;
+                sessions
+                    .finished
+                    .insert(name, Finished { resumed, checked });
+            }
+        }
+        out
+    }
+
+    /// Register a session no other thread can reach yet.
+    fn place(&self, session: Session) {
+        let mut sessions = self.sessions.lock();
+        if session.on_disk() {
+            let (resumed, checked) = (session.resumed, true);
+            sessions
+                .finished
+                .insert(session.name, Finished { resumed, checked });
+        } else {
+            sessions
+                .held
+                .insert(session.name.clone(), Arc::new(Mutex::new(session)));
+        }
     }
 
     fn counts(&self) -> (u64, u64, u64) {
@@ -303,7 +466,7 @@ impl Fleet {
         else {
             return Response::err(proto::ERR_INVALID, "open requires dataset, seed, strategy");
         };
-        if self.get(name).is_some() {
+        if self.exists(name) {
             return Response::err(
                 proto::ERR_EXISTS,
                 format!("session '{name}' already exists"),
@@ -353,24 +516,12 @@ impl Fleet {
         }
 
         let mut machine = Box::new(Machine::new(strategy, params, self.machine_config()));
-        let c = Arc::clone(&corpus);
-        let call = catch_unwind(AssertUnwindSafe(|| machine.start(&c, seed)));
-        let mut session = Session {
-            name: name.to_string(),
-            corpus,
-            state: SessState::Live(machine),
-            asked_at: Vec::new(),
-            wave_span: None,
-            wave_max_id: None,
-            last_ckpt: None,
-            resumed: false,
-        };
+        let call = catch_unwind(AssertUnwindSafe(|| machine.start(&corpus, seed)));
+        let mut session = Session::new(name, SessState::Live(machine, corpus), false);
         self.note_live();
         self.settle(&mut session, call);
         let response = self.session_response(&session);
-        self.sessions
-            .lock()
-            .insert(name.to_string(), Arc::new(Mutex::new(session)));
+        self.place(session);
         self.cfg.obs.counter_add("serve.sessions_opened", 1);
         self.update_gauge();
         response
@@ -408,37 +559,35 @@ impl Fleet {
                 }
             }
         };
-        let Some(sess) = self.get(name) else {
+        let Some(sess) = self.find(name) else {
             return Response::err(
                 proto::ERR_UNKNOWN_SESSION,
                 format!("no session named '{name}'"),
             );
         };
-        let mut s = sess.lock();
-        if matches!(s.state, SessState::Live(_)) {
-            self.deliver(&mut s, example, answer);
-        }
-        self.session_response(&s)
+        self.with_locked(&sess, |s| {
+            if matches!(s.state, SessState::Live(..)) {
+                self.deliver(s, example, answer);
+            }
+            self.session_response(s)
+        })
     }
 
     /// Deliver one answer into a live session, under supervision, with
     /// ignored-versus-applied accounting.
     fn deliver(&self, s: &mut Session, example: usize, answer: OracleAnswer) {
-        let corpus = Arc::clone(&s.corpus);
-        let SessState::Live(machine) = &mut s.state else {
+        let SessState::Live(machine, corpus) = &mut s.state else {
             return;
         };
         let ignored_before = machine.ignored_answers();
         let call = catch_unwind(AssertUnwindSafe(|| {
-            machine.deliver(&corpus, example, answer)
+            machine.deliver(corpus, example, answer)
         }));
         if let Ok(Ok(())) = &call {
-            if let SessState::Live(m) = &s.state {
-                if m.ignored_answers() > ignored_before {
-                    self.cfg.obs.counter_add("serve.answers_ignored", 1);
-                } else {
-                    self.cfg.obs.counter_add("serve.answers_applied", 1);
-                }
+            if machine.ignored_answers() > ignored_before {
+                self.cfg.obs.counter_add("serve.answers_ignored", 1);
+            } else {
+                self.cfg.obs.counter_add("serve.answers_applied", 1);
             }
         }
         self.settle(s, call);
@@ -448,14 +597,13 @@ impl Fleet {
         let Some(name) = req.session.as_deref() else {
             return Response::err(proto::ERR_INVALID, "poll requires a session name");
         };
-        let Some(sess) = self.get(name) else {
+        let Some(sess) = self.find(name) else {
             return Response::err(
                 proto::ERR_UNKNOWN_SESSION,
                 format!("no session named '{name}'"),
             );
         };
-        let s = sess.lock();
-        self.session_response(&s)
+        self.with_locked(&sess, |s| self.session_response(s))
     }
 
     /// `retry_after_ms` sized from actual recent throughput: the flight
@@ -478,6 +626,17 @@ impl Fleet {
     }
 
     fn on_status(&self) -> Response {
+        // Run the restore checks of finished sessions a restart registered
+        // by name, so counts and rows are those of a restart that ran them.
+        let unchecked: Vec<String> = (self.sessions.lock().finished.iter())
+            .filter(|(_, f)| !f.checked)
+            .map(|(name, _)| name.clone())
+            .collect();
+        for name in &unchecked {
+            if let Some(sess) = self.find(name) {
+                self.with_locked(&sess, |_| ());
+            }
+        }
         let (live, done, failed) = self.counts();
         let mut r = Response::ok();
         r.active = Some(live);
@@ -487,20 +646,26 @@ impl Fleet {
         // Same collect-then-lock-individually pattern as the deadline
         // sweeper: holding the sessions-map lock while taking session
         // locks would deadlock against transition sites.
-        let sessions: Vec<Arc<Mutex<Session>>> =
-            self.sessions.lock().values().map(Arc::clone).collect();
-        let mut rows: Vec<(String, String)> = sessions
+        let (held, finished): (Vec<Arc<Mutex<Session>>>, Vec<String>) = {
+            let sessions = self.sessions.lock();
+            (
+                sessions.held.values().map(Arc::clone).collect(),
+                sessions.finished.keys().cloned().collect(),
+            )
+        };
+        let mut rows: Vec<(String, String)> = held
             .iter()
             .map(|sess| {
                 let s = sess.lock();
                 let state = match &s.state {
-                    SessState::Live(_) => "awaiting_answers",
-                    SessState::Done(_) => "done",
+                    SessState::Live(..) => "awaiting_answers",
+                    SessState::Done { .. } => "done",
                     SessState::Poisoned(_) => "failed",
                 };
                 (s.name.clone(), state.to_string())
             })
             .collect();
+        rows.extend(finished.into_iter().map(|name| (name, "done".to_string())));
         rows.sort();
         r.sessions = Some(rows);
         r
@@ -562,31 +727,28 @@ impl Fleet {
         let Some(name) = req.session.as_deref() else {
             return Response::err(proto::ERR_INVALID, "crash requires a session name");
         };
-        let Some(sess) = self.get(name) else {
+        let Some(sess) = self.find(name) else {
             return Response::err(
                 proto::ERR_UNKNOWN_SESSION,
                 format!("no session named '{name}'"),
             );
         };
-        let mut s = sess.lock();
-        if matches!(s.state, SessState::Live(_)) {
-            let call = catch_unwind(AssertUnwindSafe(|| -> Result<(), AlemError> {
-                // alem-lint: allow(panic-reach) -- deliberate crash-injection op; the panic is caught by catch_unwind and settled as session state
-                panic!("crash op requested for session '{name}'");
-            }));
-            self.settle(&mut s, call);
-        }
-        self.session_response(&s)
+        self.with_locked(&sess, |s| {
+            if matches!(s.state, SessState::Live(..)) {
+                let call = catch_unwind(AssertUnwindSafe(|| -> Result<(), AlemError> {
+                    // alem-lint: allow(panic-reach) -- deliberate crash-injection op; the panic is caught by catch_unwind and settled as session state
+                    panic!("crash op requested for session '{name}'");
+                }));
+                self.settle(s, call);
+            }
+            self.session_response(s)
+        })
     }
 
     /// Post-advance bookkeeping shared by every machine-touching path:
     /// convert panics and errors into a poisoned session, detect
     /// completion, refresh wave stamps, and write due checkpoints.
-    fn settle(
-        &self,
-        s: &mut Session,
-        call: Result<Result<(), AlemError>, Box<dyn std::any::Any + Send>>,
-    ) {
+    fn settle(&self, s: &mut Session, call: Call) {
         match call {
             Err(payload) => {
                 self.cfg.obs.counter_add("serve.worker_panics", 1);
@@ -619,7 +781,7 @@ impl Fleet {
             Ok(Ok(())) => {}
         }
         let machine_state = match &s.state {
-            SessState::Live(m) => m.state(),
+            SessState::Live(m, _) => m.state(),
             _ => return,
         };
         match machine_state {
@@ -652,7 +814,7 @@ impl Fleet {
         }
         s.asked_at.clear();
         s.wave_max_id = None;
-        let SessState::Live(machine) = &mut s.state else {
+        let SessState::Live(machine, _) = &mut s.state else {
             return;
         };
         let iterations = machine.iterations_done();
@@ -661,20 +823,24 @@ impl Fleet {
             self.poison(s, "machine done without a result".into());
             return;
         };
-        let done = DoneRecord {
+        let record = DoneRecord {
             session: s.name.clone(),
             fingerprint: result.deterministic_fingerprint(),
             iterations,
             labels_used,
             best_f1: result.best_f1(),
         };
-        if let Err(e) = self.store.save_done(&done) {
-            eprintln!(
-                "alem-serve: session '{}' done record not persisted: {e}",
-                s.name
-            );
-        }
-        s.state = SessState::Done(done);
+        let on_disk = match self.store.save_done(&record) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!(
+                    "alem-serve: session '{}' done record not persisted: {e}",
+                    s.name
+                );
+                false
+            }
+        };
+        s.state = SessState::Done { record, on_disk };
         self.cfg.obs.counter_add("serve.sessions_completed", 1);
         self.note_done();
     }
@@ -683,7 +849,7 @@ impl Fleet {
     /// by their max request id: ids are monotonic and a wave only ever
     /// shrinks, so a changed max id means a new wave was emitted.
     fn sync_wave(&self, s: &mut Session) {
-        let SessState::Live(machine) = &s.state else {
+        let SessState::Live(machine, _) = &s.state else {
             return;
         };
         let pending = machine.pending().to_vec();
@@ -715,7 +881,7 @@ impl Fleet {
         if every == 0 {
             return;
         }
-        let SessState::Live(machine) = &s.state else {
+        let SessState::Live(machine, _) = &s.state else {
             return;
         };
         let Some(k) = machine.boundary_iter() else {
@@ -740,24 +906,25 @@ impl Fleet {
     /// answers were timed out this sweep.
     pub fn sweep_deadlines(&self) -> u64 {
         let sessions: Vec<Arc<Mutex<Session>>> =
-            self.sessions.lock().values().map(Arc::clone).collect();
+            self.sessions.lock().held.values().map(Arc::clone).collect();
         let deadline = self.cfg.answer_deadline;
         let t = now();
         let mut timed_out = 0;
         for sess in sessions {
-            let mut s = sess.lock();
-            while let Some(&(example, _)) = s
-                .asked_at
-                .iter()
-                .find(|&&(_, asked)| t.duration_since(asked) > deadline)
-            {
-                if !matches!(s.state, SessState::Live(_)) {
-                    break;
+            self.with_locked(&sess, |s| {
+                while let Some(&(example, _)) = s
+                    .asked_at
+                    .iter()
+                    .find(|&&(_, asked)| t.duration_since(asked) > deadline)
+                {
+                    if !matches!(s.state, SessState::Live(..)) {
+                        break;
+                    }
+                    self.cfg.obs.counter_add("serve.answers_timeout", 1);
+                    timed_out += 1;
+                    self.deliver(s, example, OracleAnswer::Abstain);
                 }
-                self.cfg.obs.counter_add("serve.answers_timeout", 1);
-                timed_out += 1;
-                self.deliver(&mut s, example, OracleAnswer::Abstain);
-            }
+            });
         }
         timed_out
     }
@@ -767,11 +934,11 @@ impl Fleet {
     /// metas suffice — a restart replays the seed draw deterministically.
     pub fn checkpoint_all(&self) -> usize {
         let sessions: Vec<Arc<Mutex<Session>>> =
-            self.sessions.lock().values().map(Arc::clone).collect();
+            self.sessions.lock().held.values().map(Arc::clone).collect();
         let mut written = 0;
         for sess in sessions {
             let mut s = sess.lock();
-            let SessState::Live(machine) = &s.state else {
+            let SessState::Live(machine, _) = &s.state else {
                 continue;
             };
             let Some(ckpt) = machine.checkpoint() else {
@@ -791,41 +958,80 @@ impl Fleet {
         written
     }
 
-    /// Cold restart: re-hydrate every session found in the state dir.
-    /// Returns `(live, done, failed)` counts. Failures are per-session —
-    /// a corrupt checkpoint poisons that session and restores the rest.
+    /// Cold restart: register every session found in the state dir.
+    /// A finished one (a done record sits beside its meta) is registered
+    /// by name, counted as done and read at its first request; the rest
+    /// are re-hydrated now. Returns `(live, done, failed)` counts.
+    /// Failures are per-session — a corrupt checkpoint poisons that
+    /// session and restores the rest.
     pub fn restore(&self) -> Result<(u64, u64, u64), AlemError> {
         let span = self.cfg.obs.span("serve.fleet_restart");
-        let names = self.store.list_sessions()?;
-        for name in names {
-            let session = match self.restore_one(&name) {
-                Ok(s) => s,
-                Err(e) => {
-                    self.cfg.obs.counter_add("serve.sessions_failed", 1);
-                    self.n_failed.fetch_add(1, Ordering::SeqCst);
-                    eprintln!("alem-serve: restore of '{name}' failed: {e}");
-                    Session {
-                        name: name.clone(),
-                        corpus: Arc::new(Corpus::from_features(vec![vec![0.0]], vec![false])),
-                        state: SessState::Poisoned(e.to_string()),
-                        asked_at: Vec::new(),
-                        wave_span: None,
-                        wave_max_id: None,
-                        last_ckpt: None,
-                        resumed: true,
-                    }
-                }
-            };
-            self.sessions
-                .lock()
-                .insert(name, Arc::new(Mutex::new(session)));
+        for (name, finished) in self.store.list_sessions()? {
+            if finished {
+                self.n_done.fetch_add(1, Ordering::SeqCst);
+                let (resumed, checked) = (true, false);
+                self.sessions
+                    .lock()
+                    .finished
+                    .insert(name, Finished { resumed, checked });
+            } else {
+                let session = self.rehydrate(&name, false);
+                self.place(session);
+            }
         }
         span.finish();
         self.update_gauge();
         Ok(self.counts())
     }
 
-    fn restore_one(&self, name: &str) -> Result<Session, AlemError> {
+    /// Rebuild a session from its files as a restart does; a failure
+    /// poisons this session only. `counted_done` says whether the fleet
+    /// already counts it as done (a finished session registered by name).
+    fn rehydrate(&self, name: &str, counted_done: bool) -> Session {
+        match self.restore_one(name) {
+            Ok(Restored::Done(record)) => {
+                if !counted_done {
+                    self.n_done.fetch_add(1, Ordering::SeqCst);
+                }
+                let state = SessState::Done {
+                    record,
+                    on_disk: true,
+                };
+                Session::new(name, state, true)
+            }
+            Ok(Restored::Started {
+                machine,
+                corpus,
+                call,
+                from_ckpt,
+            }) => {
+                if counted_done {
+                    self.n_done.fetch_sub(1, Ordering::SeqCst);
+                }
+                let mut session = Session::new(name, SessState::Live(machine, corpus), true);
+                self.note_live();
+                self.settle(&mut session, call);
+                if from_ckpt {
+                    self.cfg.obs.counter_add("serve.sessions_resumed", 1);
+                }
+                session
+            }
+            Err(e) => {
+                if counted_done {
+                    self.n_done.fetch_sub(1, Ordering::SeqCst);
+                }
+                self.cfg.obs.counter_add("serve.sessions_failed", 1);
+                self.n_failed.fetch_add(1, Ordering::SeqCst);
+                eprintln!("alem-serve: restore of '{name}' failed: {e}");
+                Session::new(name, SessState::Poisoned(e.to_string()), true)
+            }
+        }
+    }
+
+    /// The restore checks: parse the meta and compare the rebuilt
+    /// corpus's fingerprint, then take the done record, or else resume
+    /// the machine from the checkpoint, or replay it from the seed.
+    fn restore_one(&self, name: &str) -> Result<Restored, AlemError> {
         let meta = self.store.load_meta(name)?;
         let corpus = self.corpus(&meta.dataset)?;
         let fp = format!("{:016x}", corpus.content_fingerprint());
@@ -835,18 +1041,8 @@ impl Fleet {
                 meta.dataset, meta.corpus_fingerprint
             )));
         }
-        if let Some(done) = self.store.load_done(name) {
-            self.n_done.fetch_add(1, Ordering::SeqCst);
-            return Ok(Session {
-                name: name.to_string(),
-                corpus,
-                state: SessState::Done(done),
-                asked_at: Vec::new(),
-                wave_span: None,
-                wave_max_id: None,
-                last_ckpt: None,
-                resumed: true,
-            });
+        if let Some(record) = self.store.load_done(name) {
+            return Ok(Restored::Done(record));
         }
         let params = LoopParams {
             seed_size: meta.seed_size,
@@ -857,45 +1053,34 @@ impl Fleet {
         };
         let strategy = build_strategy(&meta.strategy)?;
         let mut machine = Box::new(Machine::new(strategy, params, self.machine_config()));
-        let c = Arc::clone(&corpus);
         let from_ckpt = self.store.has_checkpoint(name);
         let call = if from_ckpt {
             let ckpt = self.store.load_checkpoint(name)?;
-            catch_unwind(AssertUnwindSafe(|| machine.resume(&c, ckpt)))
+            catch_unwind(AssertUnwindSafe(|| machine.resume(&corpus, ckpt)))
         } else {
             // Killed before the first checkpointable boundary: replay the
             // whole (deterministic) session from its seed.
-            catch_unwind(AssertUnwindSafe(|| machine.start(&c, meta.seed)))
+            catch_unwind(AssertUnwindSafe(|| machine.start(&corpus, meta.seed)))
         };
-        let mut session = Session {
-            name: name.to_string(),
+        Ok(Restored::Started {
+            machine,
             corpus,
-            state: SessState::Live(machine),
-            asked_at: Vec::new(),
-            wave_span: None,
-            wave_max_id: None,
-            last_ckpt: None,
-            resumed: true,
-        };
-        self.note_live();
-        self.settle(&mut session, call);
-        if from_ckpt {
-            self.cfg.obs.counter_add("serve.sessions_resumed", 1);
-        }
-        Ok(session)
+            call,
+            from_ckpt,
+        })
     }
 
     fn session_response(&self, s: &Session) -> Response {
         let mut r = Response::ok();
         r.resumed = Some(s.resumed);
         match &s.state {
-            SessState::Live(m) => {
+            SessState::Live(m, _) => {
                 r.state = Some("awaiting_answers".to_string());
                 r.pending = Some(m.pending().iter().map(|q| q.example).collect());
                 r.iterations = Some(m.iterations_done());
                 r.labels_used = Some(m.labels_used());
             }
-            SessState::Done(d) => {
+            SessState::Done { record: d, .. } => {
                 r.state = Some("done".to_string());
                 r.pending = Some(Vec::new());
                 r.iterations = Some(d.iterations);
@@ -1224,6 +1409,179 @@ mod tests {
             }
         }
         panic!("silent session never failed");
+    }
+
+    fn reference(seed: u64) -> String {
+        let strategy = build_strategy("margin").unwrap();
+        dataset::reference_fingerprint("toy", seed, strategy, &dataset::default_params()).unwrap()
+    }
+
+    /// A second fleet over `fleet`'s state directory, as after a restart.
+    fn restarted(fleet: &Fleet) -> Fleet {
+        Fleet::new(FleetConfig {
+            obs: Registry::enabled(),
+            ..fleet.cfg.clone()
+        })
+        .unwrap()
+    }
+
+    /// Open `toy` sessions `names[i]` with seed `i` and drive them to done.
+    fn finish_all(fleet: &Fleet, names: &[&str]) {
+        for (seed, &name) in names.iter().enumerate() {
+            assert!(
+                fleet
+                    .handle(&Request::open(name, "toy", seed as u64, "margin"))
+                    .ok
+            );
+            let done = drive_to_completion(fleet, name, seed as u64);
+            assert_eq!(done.state.as_deref(), Some("done"));
+        }
+    }
+
+    #[test]
+    fn finished_sessions_leave_the_session_map_and_status_lists_them() {
+        let fleet = fleet("fin", 8);
+        let names = ["f0", "f1", "f2", "f3", "f4"];
+        finish_all(&fleet, &names);
+        {
+            let sessions = fleet.sessions.lock();
+            assert!(sessions.held.is_empty(), "the fleet still holds a session");
+            assert_eq!(sessions.finished.len(), names.len());
+        }
+        let status = fleet.handle(&Request::new("status"));
+        assert_eq!(status.done, Some(names.len() as u64));
+        let rows = status.sessions.unwrap();
+        assert_eq!(rows.len(), names.len());
+        assert!(rows.iter().all(|(_, state)| state == "done"), "{rows:?}");
+        // Polls read the records back; the session map stays empty.
+        for (seed, name) in names.iter().enumerate() {
+            let r = fleet.handle(&Request::poll(name));
+            assert_eq!(r.state.as_deref(), Some("done"));
+            assert_eq!(r.resumed, Some(false));
+            assert_eq!(r.fingerprint, Some(reference(seed as u64)));
+        }
+        assert!(fleet.sessions.lock().held.is_empty());
+    }
+
+    #[test]
+    fn a_restart_registers_finished_sessions_without_reading_their_files() {
+        let fleet = fleet("reg", 8);
+        finish_all(&fleet, &["f0", "f1", "f2"]);
+        assert!(fleet.handle(&Request::open("live", "toy", 9, "margin")).ok);
+        // Had the restart read any of f0's files, f0 would fail there.
+        let dir = &fleet.cfg.state_dir;
+        for kind in ["meta", "done"] {
+            std::fs::write(dir.join(format!("f0.{kind}.json")), "garbage").unwrap();
+        }
+        let again = restarted(&fleet);
+        assert_eq!(again.restore().unwrap(), (1, 3, 0));
+        assert_eq!(again.sessions.lock().held.len(), 1);
+        // The first request runs the restore checks and gets their outcome.
+        let r = again.handle(&Request::poll("f0"));
+        assert_eq!(r.state.as_deref(), Some("failed"));
+        assert_eq!(
+            r.detail.as_deref(),
+            Some("checkpoint corrupt: meta for 'f0': unexpected Some('g') at offset 0")
+        );
+        assert_eq!(again.counts(), (1, 2, 1));
+        let r = again.handle(&Request::poll("f1"));
+        assert_eq!(r.state.as_deref(), Some("done"));
+        assert_eq!(r.resumed, Some(true));
+        assert_eq!(r.fingerprint, Some(reference(1)));
+        let status = again.handle(&Request::new("status"));
+        assert_eq!(
+            (status.active, status.done, status.failed),
+            (Some(1), Some(2), Some(1))
+        );
+    }
+
+    #[test]
+    fn a_done_record_that_cannot_be_written_stays_in_memory() {
+        let fleet = fleet("nodisk", 8);
+        // A directory where the record goes makes its rename fail.
+        let blocker = fleet.cfg.state_dir.join("x.done.json").join("blocker");
+        std::fs::create_dir_all(blocker).unwrap();
+        finish_all(&fleet, &["x"]);
+        assert!(fleet.sessions.lock().held.contains_key("x"));
+        assert!(fleet.sessions.lock().finished.is_empty());
+        let r = fleet.handle(&Request::poll("x"));
+        assert_eq!(r.state.as_deref(), Some("done"));
+        assert_eq!(r.fingerprint, Some(reference(0)));
+    }
+
+    #[test]
+    fn requests_racing_a_read_back_all_find_the_session() {
+        let fleet = fleet("race", 8);
+        let names = ["r0", "r1", "r2", "r3"];
+        finish_all(&fleet, &names);
+        let again = restarted(&fleet);
+        assert_eq!(again.restore().unwrap(), (0, 4, 0));
+        let fingerprints: Vec<String> = (0..names.len() as u64).map(reference).collect();
+        // Four threads poll, answer and crash the sessions while a fifth
+        // asks for the status, which runs the restore checks of all four.
+        Parallelism::fixed(5).map(&[0, 1, 2, 3, 4], |&t| {
+            for round in 0..20 {
+                if t == 4 {
+                    let status = again.handle(&Request::new("status"));
+                    assert_eq!(status.done, Some(4));
+                    continue;
+                }
+                let k = (t + round) % names.len();
+                let req = match round % 3 {
+                    0 => Request::poll(names[k]),
+                    1 => Request::answer(names[k], 0, true),
+                    _ => {
+                        let mut crash = Request::new("crash");
+                        crash.session = Some(names[k].to_string());
+                        crash
+                    }
+                };
+                let r = again.handle(&req);
+                assert_eq!(r.state.as_deref(), Some("done"), "{:?}", r.error);
+                assert_eq!(r.fingerprint.as_ref(), Some(&fingerprints[k]));
+            }
+        });
+        assert_eq!(again.counts(), (0, 4, 0));
+        assert!(again.sessions.lock().held.is_empty());
+    }
+
+    #[test]
+    fn a_session_the_sweeper_finishes_leaves_the_session_map() {
+        let fleet = Fleet::new(FleetConfig {
+            answer_deadline: Duration::from_millis(0),
+            ..fleet("sweepdone", 4).cfg.clone()
+        })
+        .unwrap();
+        assert!(fleet.handle(&Request::open("s1", "toy", 6, "margin")).ok);
+        let corpus = dataset::build("toy").unwrap();
+        // Answer every question but the last of each batch wave; the
+        // sweeper abstains on that one, so it ends each wave, the last
+        // one included.
+        let mut swept = 0;
+        loop {
+            let r = fleet.handle(&Request::poll("s1"));
+            if r.state.as_deref() != Some("awaiting_answers") {
+                assert_eq!(r.state.as_deref(), Some("done"));
+                break;
+            }
+            let pending = r.pending.unwrap_or_default();
+            let seeding = r.labels_used == Some(0);
+            let answered = if seeding {
+                &pending[..]
+            } else {
+                &pending[..pending.len() - 1]
+            };
+            for &e in answered {
+                assert!(fleet.handle(&Request::answer("s1", e, corpus.truth(e))).ok);
+            }
+            if !seeding {
+                std::thread::sleep(Duration::from_millis(1));
+                swept += fleet.sweep_deadlines();
+            }
+        }
+        assert!(swept > 0);
+        assert!(fleet.sessions.lock().held.is_empty());
+        assert!(fleet.sessions.lock().finished.contains_key("s1"));
     }
 
     /// A fleet with one live `toy` session, and valid `open`, `answer`,

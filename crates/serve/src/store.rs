@@ -11,8 +11,10 @@
 //! - `<name>.ckpt.json` — the latest iteration-boundary [`Checkpoint`],
 //!   written atomically (tmp + rename) by [`Checkpoint::save`].
 //! - `<name>.done.json` — the terminal record (fingerprint, stats) once
-//!   the session completes, written atomically, so a restart reports
-//!   finished sessions without replaying them.
+//!   the session completes, written atomically. It is the only copy of a
+//!   finished session's result: the fleet reads it back for each request
+//!   on that session, and a restart registers the session from the
+//!   directory listing alone, without replaying it.
 //!
 //! The `chaos_die_at_checkpoint` hook simulates the worst-timed kill: on
 //! the N-th checkpoint write the process leaves a *truncated* `.tmp`
@@ -25,6 +27,7 @@ use crate::proto;
 use alem_core::error::AlemError;
 use alem_core::session::Checkpoint;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -151,9 +154,12 @@ impl Store {
     }
 
     /// Session names present in the state dir (from `*.meta.json`),
-    /// sorted for deterministic restore order.
-    pub fn list_sessions(&self) -> Result<Vec<String>, AlemError> {
+    /// sorted for deterministic restore order, each with whether a done
+    /// record sits beside its meta. One directory listing; no session
+    /// file is opened.
+    pub fn list_sessions(&self) -> Result<Vec<(String, bool)>, AlemError> {
         let mut names = Vec::new();
+        let mut done = BTreeSet::new();
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
             let file = entry.file_name();
@@ -162,10 +168,18 @@ impl Store {
                 if proto::valid_session_name(name) {
                     names.push(name.to_string());
                 }
+            } else if let Some(name) = file.strip_suffix(".done.json") {
+                done.insert(name.to_string());
             }
         }
         names.sort();
-        Ok(names)
+        Ok(names
+            .into_iter()
+            .map(|name| {
+                let finished = done.contains(&name);
+                (name, finished)
+            })
+            .collect())
     }
 
     /// Checkpoint writes performed so far (diagnostics).
@@ -216,7 +230,11 @@ mod tests {
         store.save_meta(&meta("a")).unwrap();
         store.save_meta(&meta("b")).unwrap();
         assert_eq!(store.load_meta("a").unwrap(), meta("a"));
-        assert_eq!(store.list_sessions().unwrap(), vec!["a", "b"]);
+        let listed = |store: &Store| -> Vec<(String, bool)> { store.list_sessions().unwrap() };
+        assert_eq!(
+            listed(&store),
+            vec![("a".to_string(), false), ("b".to_string(), false)]
+        );
         assert!(store.load_done("a").is_none());
         let done = DoneRecord {
             session: "a".into(),
@@ -227,6 +245,10 @@ mod tests {
         };
         store.save_done(&done).unwrap();
         assert_eq!(store.load_done("a").unwrap(), done);
+        assert_eq!(
+            listed(&store),
+            vec![("a".to_string(), true), ("b".to_string(), false)]
+        );
     }
 
     #[test]
@@ -237,7 +259,10 @@ mod tests {
         std::fs::write(dir.join("c.meta.tmp"), "{\"session\":").unwrap();
         assert!(store.list_sessions().unwrap().is_empty());
         store.save_meta(&meta("c")).unwrap();
-        assert_eq!(store.list_sessions().unwrap(), vec!["c"]);
+        assert_eq!(
+            store.list_sessions().unwrap(),
+            vec![("c".to_string(), false)]
+        );
         assert_eq!(store.load_meta("c").unwrap(), meta("c"));
         assert!(!dir.join("c.meta.tmp").exists());
     }
