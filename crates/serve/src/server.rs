@@ -243,27 +243,34 @@ impl Server {
 }
 
 /// One connection: read request lines, answer each on the same
-/// connection. Malformed frames get a structured `malformed` reply —
-/// never a disconnect. Returns when the peer closes, a non-timeout I/O
-/// error occurs, or the server starts draining.
+/// connection. Malformed frames, frames that are not UTF-8 included, get a
+/// structured `malformed` reply — never a disconnect. A frame split
+/// across read timeouts is kept and answered once its newline arrives.
+/// Returns when the peer closes, a non-timeout I/O error occurs, or the
+/// server starts draining.
 fn conn_loop(fleet: &Fleet, conn: Conn) -> Result<(), AlemError> {
     conn.prepare()?;
     let mut reader = BufReader::new(conn.try_clone()?);
     let mut writer = conn;
-    let mut line = String::new();
+    // The frame being read; cleared only once it has been handled, so the
+    // bytes read before an idle tick stay.
+    let mut frame = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut frame) {
             Ok(0) => return Ok(()), // EOF
             Ok(_) => {
-                if line.trim().is_empty() {
+                let text = std::str::from_utf8(&frame);
+                if text.is_ok_and(|t| t.trim().is_empty()) {
+                    frame.clear();
                     continue;
                 }
                 // Decode before opening the request span so the span (and
                 // everything under it) can be stamped with the client's
                 // trace id; a fresh scope per request means an id never
                 // leaks onto the next frame of the same connection.
-                let decoded = proto::decode_request(&line);
+                let decoded = text
+                    .map_err(|e| format!("frame is not UTF-8: {e}"))
+                    .and_then(proto::decode_request);
                 let trace_id = decoded
                     .as_ref()
                     .ok()
@@ -278,10 +285,11 @@ fn conn_loop(fleet: &Fleet, conn: Conn) -> Result<(), AlemError> {
                         Response::err(proto::ERR_MALFORMED, detail)
                     }
                 };
-                let frame = format!("{}\n", proto::encode(&response));
-                writer.write_all(frame.as_bytes())?;
+                let reply = format!("{}\n", proto::encode(&response));
+                writer.write_all(reply.as_bytes())?;
                 writer.flush()?;
                 span.finish();
+                frame.clear();
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock

@@ -3,7 +3,7 @@
 mod common;
 
 use alem_serve::proto::{self, Request};
-use common::{drive_to_done, reference, TestServer};
+use common::{drive_to_done, reference, RawConn, TestServer};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -183,5 +183,61 @@ fn tcp_round_trips_do_not_wait_for_delayed_acks() {
         took < Duration::from_secs(4),
         "200 TCP round trips took {took:?}"
     );
+    server.drain();
+}
+
+fn counter(c: &mut RawConn, name: &str) -> u64 {
+    let m = proto::decode_response(&c.call(&Request::new("metrics"))).unwrap();
+    let counters = m.counters.unwrap_or_default();
+    counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |&(_, v)| v)
+}
+
+/// A frame that is not UTF-8 gets a `malformed` reply, counted as a
+/// rejected frame, and the next frame on the same connection gets `ok`.
+#[test]
+fn a_frame_that_is_not_utf8_is_answered_and_the_connection_survives() {
+    let server = TestServer::spawn("wire-utf8", &[], None);
+    let mut c = server.raw();
+    let reply = c.send(b"{\"op\":\"poll\",\"session\":\"n\xffpe\"}");
+    let r = proto::decode_response(&reply).unwrap();
+    assert_eq!(r.error.as_deref(), Some(proto::ERR_MALFORMED), "{reply}");
+    assert!(r.detail.unwrap().contains("not UTF-8"), "{reply}");
+    let r = proto::decode_response(&c.call(&Request::new("healthz"))).unwrap();
+    assert!(r.ok, "{:?} {:?}", r.error, r.detail);
+    assert_eq!(counter(&mut c, "serve.frames_rejected"), 1);
+    drop(c);
+    server.drain();
+}
+
+/// A frame whose second half arrives after the server's 250 ms read
+/// timeout is answered whole, also when the split falls inside a
+/// multibyte character.
+#[test]
+fn a_frame_split_across_a_read_timeout_is_answered_whole() {
+    let server = TestServer::spawn("wire-split", &[], None);
+    let mut c = server.raw();
+    c.write(b"{\"op\":\"heal");
+    std::thread::sleep(Duration::from_millis(400));
+    c.write(b"thz\"}\n");
+    let reply = c.reply();
+    let r = proto::decode_response(&reply).unwrap();
+    assert!(r.ok, "{reply}");
+    assert!(r.uptime_us.is_some(), "{reply}");
+    let frame = "{\"op\":\"poll\",\"session\":\"x\u{e9}\"}\n".as_bytes();
+    // Byte 26 is the second byte of the 'é'.
+    let (head, tail) = frame.split_at(26);
+    c.write(head);
+    std::thread::sleep(Duration::from_millis(400));
+    c.write(tail);
+    let r = proto::decode_response(&c.reply()).unwrap();
+    assert_eq!(r.error.as_deref(), Some(proto::ERR_UNKNOWN_SESSION));
+    assert_eq!(r.detail.as_deref(), Some("no session named 'x\u{e9}'"));
+    let r = proto::decode_response(&c.call(&Request::new("healthz"))).unwrap();
+    assert!(r.ok, "{:?} {:?}", r.error, r.detail);
+    assert_eq!(counter(&mut c, "serve.frames_rejected"), 0);
+    drop(c);
     server.drain();
 }
