@@ -252,6 +252,33 @@ mod tests {
     }
 
     #[test]
+    fn done_records_with_long_mixed_strings_round_trip() {
+        let store = Store::open(&tmp_dir("long"), None).unwrap();
+        // A fingerprint-sized text of plain runs, escaped chars and
+        // multibyte chars: every `poll` of a finished session reads one.
+        let pieces = [
+            "0123456789abcdef",
+            "\"",
+            "\\",
+            "\n",
+            "\t",
+            "\u{7}",
+            "é€😀",
+            "/",
+        ];
+        let done = DoneRecord {
+            session: "s-1".into(),
+            fingerprint: (0..600).map(|i| pieces[(i * 5) % pieces.len()]).collect(),
+            iterations: 28,
+            labels_used: 124,
+            best_f1: 0.9130434782608695,
+        };
+        assert!(done.fingerprint.len() > 2_000);
+        store.save_done(&done).unwrap();
+        assert_eq!(store.load_done("s-1").unwrap(), done);
+    }
+
+    #[test]
     fn a_meta_write_killed_before_its_rename_leaves_no_session() {
         let dir = tmp_dir("torn");
         let store = Store::open(&dir, None).unwrap();
