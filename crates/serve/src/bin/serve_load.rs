@@ -13,7 +13,11 @@
 //! run spans three server generations: generation 1 aborts mid-checkpoint
 //! write (`--die-at-checkpoint`), generation 2 is SIGKILLed mid-run, and
 //! generation 3 drains gracefully. Sessions poisoned by `crash` recover
-//! after the next restart from their last durable checkpoint.
+//! after the next restart from their last durable checkpoint. A last
+//! generation, with no faults, restarts the server on the drained state
+//! dir and polls every session once: the server registers finished
+//! sessions from the directory listing alone, so each poll must read the
+//! session's done record back with its reference fingerprint.
 //!
 //! Emits `BENCH_serve.json` (throughput, query-to-batch latency
 //! quantiles from the server's histograms, per-restart recovery times,
@@ -440,6 +444,7 @@ struct Report {
     q2b_p99_us: u64,
     fingerprints_checked: usize,
     fingerprints_identical: bool,
+    readback_identical: bool,
     malformed_rejected: u64,
     duplicates_sent: u64,
     bogus_answers_sent: u64,
@@ -680,6 +685,23 @@ fn run() -> i32 {
         }
     }
 
+    // Read-back generation: no faults, one poll per session.
+    let readback_identical = match ServerProc::spawn(
+        &server_bin,
+        &addr,
+        &state_dir,
+        args.deadline_ms,
+        args.sessions + 8,
+        None,
+        None,
+    ) {
+        Ok(server) => readback(server, &addr, &jobs, &references),
+        Err(e) => {
+            eprintln!("serve-load: starting the read-back generation: {e}");
+            false
+        }
+    };
+
     // Separate scenario: a server with a tiny answer deadline must convert
     // silence into abstentions (AbstainingOracle semantics).
     let answers_timeout_observed = timeout_scenario(&server_bin, &scratch);
@@ -726,6 +748,7 @@ fn run() -> i32 {
         q2b_p99_us: q2b.3,
         fingerprints_checked: jobs.len(),
         fingerprints_identical: identical,
+        readback_identical,
         malformed_rejected: shared.stats.malformed_rejected.load(Ordering::SeqCst),
         duplicates_sent: shared.stats.duplicates_sent.load(Ordering::SeqCst),
         bogus_answers_sent: shared.stats.bogus_sent.load(Ordering::SeqCst),
@@ -750,8 +773,11 @@ fn run() -> i32 {
         }
     }
     let _ = std::fs::remove_dir_all(&scratch);
-    if !identical || completed != args.sessions {
-        eprintln!("serve-load: FAILED (complete={completed}, identical={identical})");
+    if !identical || completed != args.sessions || !readback_identical {
+        eprintln!(
+            "serve-load: FAILED (complete={completed}, identical={identical}, \
+             readback={readback_identical})"
+        );
         return 1;
     }
     let crashes = shared.stats.crashes_sent.load(Ordering::SeqCst);
@@ -761,6 +787,49 @@ fn run() -> i32 {
     }
     eprintln!("serve-load: OK");
     0
+}
+
+/// Poll every session once on `server`, a fresh generation over the
+/// drained state dir, then drain it. True when every poll answers `done`
+/// with the session's reference fingerprint.
+fn readback(mut server: ServerProc, addr: &str, jobs: &[Job], references: &[String]) -> bool {
+    let Ok(mut c) = Client::connect(addr) else {
+        eprintln!("serve-load: cannot connect to the read-back generation");
+        server.kill();
+        return false;
+    };
+    let mut identical = true;
+    for (job, reference) in jobs.iter().zip(references) {
+        let r = c.call(&Request::poll(&job.session));
+        match r {
+            Ok(r)
+                if r.state.as_deref() == Some("done")
+                    && r.fingerprint.as_ref() == Some(reference) => {}
+            Ok(r) => {
+                identical = false;
+                eprintln!(
+                    "serve-load: read-back of {} answered {:?} {:?} {:?}",
+                    job.session, r.state, r.error, r.fingerprint
+                );
+            }
+            Err(e) => {
+                identical = false;
+                eprintln!("serve-load: read-back of {} failed: {e}", job.session);
+            }
+        }
+    }
+    let _ = c.call(&Request::new("drain"));
+    drop(c);
+    if !matches!(server.wait_exit(Duration::from_secs(30)), Some(s) if s.success()) {
+        eprintln!("serve-load: the read-back generation did not drain");
+        server.kill();
+        identical = false;
+    }
+    eprintln!(
+        "serve-load: read back {} session(s), identical={identical}",
+        jobs.len()
+    );
+    identical
 }
 
 /// Count `postmortem-*.jsonl` flight dumps left behind by induced panics.
