@@ -312,7 +312,7 @@ impl Fleet {
                 return None;
             }
         }
-        // What the session reads as if this thread dies mid-read.
+        // The state other requests see if this thread panics mid-read.
         let unread = SessState::Poisoned(format!("reading back '{name}' did not finish"));
         let slot = Arc::new(Mutex::new(Session::new(name, unread, true)));
         let mut s = slot.lock();
@@ -361,10 +361,11 @@ impl Fleet {
                 .is_some_and(|held| Arc::ptr_eq(held, sess))
             {
                 sessions.held.remove(&name);
-                let checked = true;
-                sessions
-                    .finished
-                    .insert(name, Finished { resumed, checked });
+                let finished = Finished {
+                    resumed,
+                    checked: true,
+                };
+                sessions.finished.insert(name, finished);
             }
         }
         out
@@ -374,10 +375,11 @@ impl Fleet {
     fn place(&self, session: Session) {
         let mut sessions = self.sessions.lock();
         if session.on_disk() {
-            let (resumed, checked) = (session.resumed, true);
-            sessions
-                .finished
-                .insert(session.name, Finished { resumed, checked });
+            let finished = Finished {
+                resumed: session.resumed,
+                checked: true,
+            };
+            sessions.finished.insert(session.name, finished);
         } else {
             sessions
                 .held
@@ -628,7 +630,11 @@ impl Fleet {
     fn on_status(&self) -> Response {
         // Run the restore checks of finished sessions a restart registered
         // by name, so counts and rows are those of a restart that ran them.
-        let unchecked: Vec<String> = (self.sessions.lock().finished.iter())
+        let unchecked: Vec<String> = self
+            .sessions
+            .lock()
+            .finished
+            .iter()
             .filter(|(_, f)| !f.checked)
             .map(|(name, _)| name.clone())
             .collect();
@@ -966,14 +972,14 @@ impl Fleet {
     /// session and restores the rest.
     pub fn restore(&self) -> Result<(u64, u64, u64), AlemError> {
         let span = self.cfg.obs.span("serve.fleet_restart");
-        for (name, finished) in self.store.list_sessions()? {
-            if finished {
+        for (name, has_record) in self.store.list_sessions()? {
+            if has_record {
                 self.n_done.fetch_add(1, Ordering::SeqCst);
-                let (resumed, checked) = (true, false);
-                self.sessions
-                    .lock()
-                    .finished
-                    .insert(name, Finished { resumed, checked });
+                let finished = Finished {
+                    resumed: true,
+                    checked: false,
+                };
+                self.sessions.lock().finished.insert(name, finished);
             } else {
                 let session = self.rehydrate(&name, false);
                 self.place(session);
