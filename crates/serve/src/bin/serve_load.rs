@@ -800,8 +800,7 @@ fn readback(mut server: ServerProc, addr: &str, jobs: &[Job], references: &[Stri
     };
     let mut identical = true;
     for (job, reference) in jobs.iter().zip(references) {
-        let r = c.call(&Request::poll(&job.session));
-        match r {
+        match c.call(&Request::poll(&job.session)) {
             Ok(r)
                 if r.state.as_deref() == Some("done")
                     && r.fingerprint.as_ref() == Some(reference) => {}

@@ -195,7 +195,6 @@ impl Session {
 }
 
 /// A finished session whose result lives only in its done record.
-#[derive(Clone, Copy)]
 struct Finished {
     /// The `resumed` flag its replies carry.
     resumed: bool,

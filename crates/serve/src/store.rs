@@ -230,9 +230,8 @@ mod tests {
         store.save_meta(&meta("a")).unwrap();
         store.save_meta(&meta("b")).unwrap();
         assert_eq!(store.load_meta("a").unwrap(), meta("a"));
-        let listed = |store: &Store| -> Vec<(String, bool)> { store.list_sessions().unwrap() };
         assert_eq!(
-            listed(&store),
+            store.list_sessions().unwrap(),
             vec![("a".to_string(), false), ("b".to_string(), false)]
         );
         assert!(store.load_done("a").is_none());
@@ -246,7 +245,7 @@ mod tests {
         store.save_done(&done).unwrap();
         assert_eq!(store.load_done("a").unwrap(), done);
         assert_eq!(
-            listed(&store),
+            store.list_sessions().unwrap(),
             vec![("a".to_string(), true), ("b".to_string(), false)]
         );
     }
