@@ -83,7 +83,7 @@ mod tests {
     fn perfect_run_works() {
         let feats: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 100.0]).collect();
         let truth: Vec<bool> = (0..100).map(|i| i >= 60).collect();
-        let corpus = Corpus::from_features(feats, truth);
+        let corpus = Corpus::from_features(feats, truth).unwrap();
         let params = paper_params(&corpus, 80);
         let r = run_perfect(
             &corpus,

@@ -105,7 +105,7 @@ impl Corpus {
         let fx = Arc::new(FeatureExtractor::new(ds)?);
         let store = match eager {
             Some(par) => {
-                FeatureStore::from_flat(fx.extract_all_with(&pairs, par), pairs.len(), fx.dim())
+                FeatureStore::from_flat(fx.extract_all_with(&pairs, par), pairs.len(), fx.dim())?
             }
             None => FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs)),
         };
@@ -129,33 +129,53 @@ impl Corpus {
     /// Build a corpus directly from feature vectors and labels (tests,
     /// docs, and workloads that skip the table layer).
     ///
-    /// Every row must share the first row's dimensionality.
+    /// Fails with [`AlemError::InvalidConfig`] unless there is one label
+    /// per row and every row shares the first row's dimensionality.
     // alem-lint: allow(flat-feature-store) -- caller-facing ingestion seam; rows are flattened into the store here
-    pub fn from_features(features: Vec<Vec<f64>>, truth: Vec<bool>) -> Self {
-        assert_eq!(features.len(), truth.len(), "feature/label mismatch");
+    pub fn from_features(features: Vec<Vec<f64>>, truth: Vec<bool>) -> Result<Self, AlemError> {
+        if features.len() != truth.len() {
+            return Err(AlemError::InvalidConfig(format!(
+                "{} feature rows but {} labels",
+                features.len(),
+                truth.len()
+            )));
+        }
         let len = features.len();
         let dim = features.first().map_or(0, Vec::len);
         let mut flat = Vec::with_capacity(len * dim);
-        for row in features {
-            assert_eq!(row.len(), dim, "feature row dimensionality mismatch");
+        for (i, row) in features.into_iter().enumerate() {
+            if row.len() != dim {
+                return Err(AlemError::InvalidConfig(format!(
+                    "feature row {i} has {} dims, row 0 has {dim}",
+                    row.len()
+                )));
+            }
             flat.extend_from_slice(&row);
         }
-        Corpus {
+        Ok(Corpus {
             name: "anonymous".into(),
             pairs: Arc::new((0..len as u32).map(|i| (i, 0)).collect()),
-            store: FeatureStore::from_flat(flat, len, dim),
+            store: FeatureStore::from_flat(flat, len, dim)?,
             bool_features: BoolFeatures::None,
             truth,
             bounded01: false,
-        }
+        })
     }
 
     /// Attach Boolean predicate vectors (needed by the rule learner).
+    /// Fails with [`AlemError::InvalidConfig`] unless there is one row
+    /// per pair.
     // alem-lint: allow(flat-feature-store) -- caller-facing ingestion seam for pre-built predicate rows
-    pub fn with_bool_features(mut self, bool_features: Vec<Vec<f64>>) -> Self {
-        assert_eq!(bool_features.len(), self.len(), "bool feature mismatch");
+    pub fn with_bool_features(mut self, bool_features: Vec<Vec<f64>>) -> Result<Self, AlemError> {
+        if bool_features.len() != self.len() {
+            return Err(AlemError::InvalidConfig(format!(
+                "{} Boolean feature rows for {} pairs",
+                bool_features.len(),
+                self.len()
+            )));
+        }
         self.bool_features = BoolFeatures::Eager(bool_features);
-        self
+        Ok(self)
     }
 
     /// Set the dataset name (reports group results by it).
@@ -422,7 +442,7 @@ mod tests {
     fn toy(n: usize) -> Corpus {
         let features = (0..n).map(|i| vec![i as f64 / n as f64]).collect();
         let truth = (0..n).map(|i| i % 5 == 0).collect();
-        Corpus::from_features(features, truth)
+        Corpus::from_features(features, truth).unwrap()
     }
 
     #[test]
@@ -475,9 +495,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "feature/label mismatch")]
     fn rejects_mismatch() {
-        Corpus::from_features(vec![vec![0.0]], vec![true, false]);
+        let rejected = |r: Result<Corpus, AlemError>, want: &str| match r {
+            Err(AlemError::InvalidConfig(msg)) => assert!(msg.contains(want), "{msg}"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        rejected(
+            Corpus::from_features(vec![vec![0.0]], vec![true, false]),
+            "1 feature rows but 2 labels",
+        );
+        rejected(
+            Corpus::from_features(vec![vec![0.0], vec![0.0, 1.0]], vec![true, false]),
+            "row 1 has 2 dims",
+        );
+        rejected(
+            toy(3).with_bool_features(vec![vec![1.0]; 2]),
+            "2 Boolean feature rows for 3 pairs",
+        );
+        assert!(matches!(
+            FeatureStore::from_flat(vec![0.0; 5], 2, 3),
+            Err(AlemError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -489,19 +527,19 @@ mod tests {
         // Same length, one feature bit different: fingerprints diverge.
         let mut feats: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 40.0]).collect();
         feats[17][0] += 1e-12;
-        let c = Corpus::from_features(feats, (0..40).map(|i| i % 5 == 0).collect());
+        let c = Corpus::from_features(feats, (0..40).map(|i| i % 5 == 0).collect()).unwrap();
         assert_ne!(a.content_fingerprint(), c.content_fingerprint());
 
         // Same features, one truth label different: fingerprints diverge.
         let feats: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 40.0]).collect();
         let mut truth: Vec<bool> = (0..40).map(|i| i % 5 == 0).collect();
         truth[3] = !truth[3];
-        let d = Corpus::from_features(feats, truth);
+        let d = Corpus::from_features(feats, truth).unwrap();
         assert_ne!(a.content_fingerprint(), d.content_fingerprint());
 
         // Attaching bool features changes the fingerprint (it is part of
         // what the learner sees).
-        let e = toy(40).with_bool_features(vec![vec![1.0]; 40]);
+        let e = toy(40).with_bool_features(vec![vec![1.0]; 40]).unwrap();
         assert_ne!(a.content_fingerprint(), e.content_fingerprint());
 
         // Renaming does not (identity is content, not label).
@@ -518,7 +556,8 @@ mod tests {
                 vec![0.1, f64::NEG_INFINITY],
             ],
             vec![true, false, true],
-        );
+        )
+        .unwrap();
         assert_eq!(c.sanitized_features(), 3);
         assert!((0..c.len()).all(|i| c.x(i).iter().all(|v| v.is_finite())));
         assert_eq!(c.x(0), &[0.5, 0.0]);

@@ -187,7 +187,7 @@ mod tests {
             feats.push(vec![x0, x1]);
             truth.push(t);
         }
-        Corpus::from_features(feats, truth)
+        Corpus::from_features(feats, truth).unwrap()
     }
 
     #[test]

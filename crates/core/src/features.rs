@@ -76,12 +76,12 @@ impl fmt::Display for BoolFeatureDesc {
 /// `Prepared::new` is a pure function of the raw string, so interning is
 /// exact, and most cells of a real table repeat a value.
 pub struct FeatureExtractor {
-    attr_names: Vec<String>,
+    attr_names: Box<[String]>,
     /// One prepared view per distinct raw value of either table.
-    values: Vec<Prepared>,
+    values: Box<[Prepared]>,
     /// `values` index of each cell, `[record * #attrs + attr]`.
-    left: Vec<usize>,
-    right: Vec<usize>,
+    left: Box<[u32]>,
+    right: Box<[u32]>,
 }
 
 impl fmt::Debug for FeatureExtractor {
@@ -92,6 +92,7 @@ impl fmt::Debug for FeatureExtractor {
             .field("left_records", &(self.left.len() / n_attrs))
             .field("right_records", &(self.right.len() / n_attrs))
             .field("distinct_values", &self.values.len())
+            .field("retained_bytes", &self.retained_bytes())
             .finish()
     }
 }
@@ -100,9 +101,9 @@ impl fmt::Debug for FeatureExtractor {
 /// raw value (a missing value is the empty string) on first sight.
 fn intern_table<'t>(
     table: &'t Table,
-    ids: &mut BTreeMap<&'t str, usize>,
+    ids: &mut BTreeMap<&'t str, u32>,
     values: &mut Vec<Prepared>,
-) -> Vec<usize> {
+) -> Box<[u32]> {
     let mut cells = Vec::with_capacity(table.len() * table.schema().len());
     for i in 0..table.len() {
         let record = table.record(i);
@@ -110,12 +111,12 @@ fn intern_table<'t>(
             let raw = record.value(a).unwrap_or("");
             let id = *ids.entry(raw).or_insert_with(|| {
                 values.push(Prepared::new(raw));
-                values.len() - 1
+                (values.len() - 1) as u32
             });
             cells.push(id);
         }
     }
-    cells
+    cells.into_boxed_slice()
 }
 
 impl FeatureExtractor {
@@ -143,10 +144,28 @@ impl FeatureExtractor {
                 .iter()
                 .map(|a| a.name.clone())
                 .collect(),
-            values,
+            values: values.into_boxed_slice(),
             left,
             right,
         })
+    }
+
+    /// Bytes the extractor holds: its own struct, the attribute names,
+    /// every prepared value with its views, and the two cell indexes.
+    /// Every part is an exact-size slice or string, so the count is
+    /// exact and does not depend on the allocator.
+    fn retained_bytes(&self) -> usize {
+        let names: usize = self
+            .attr_names
+            .iter()
+            .map(|a| size_of_val(a) + a.len())
+            .sum();
+        let values: usize = self
+            .values
+            .iter()
+            .map(|v| size_of_val(v) + v.heap_bytes())
+            .sum();
+        size_of::<Self>() + names + values + size_of_val(&*self.left) + size_of_val(&*self.right)
     }
 
     /// Score `dims` of `pair` in the order given, sending each
@@ -166,7 +185,8 @@ impl FeatureExtractor {
         let mut dims = dims.into_iter().peekable();
         while let Some(&first) = dims.peek() {
             let attr = first / n_sims;
-            let mut scorer = scratch.pair(&self.values[l[attr]], &self.values[r[attr]]);
+            let (a, b) = (l[attr] as usize, r[attr] as usize);
+            let mut scorer = scratch.pair(&self.values[a], &self.values[b]);
             while let Some(d) = dims.next_if(|&d| d / n_sims == attr) {
                 sink(d, scorer.score(SimilarityFunction::ALL[d % n_sims]));
             }

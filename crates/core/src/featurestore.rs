@@ -23,6 +23,7 @@
 //! full-row materialization. Phase 1 of the staged margin scan runs
 //! entirely on it, under both of its skip rules (DESIGN §12).
 
+use crate::error::AlemError;
 use crate::features::FeatureExtractor;
 use crate::schema::Pair;
 use std::fmt;
@@ -80,18 +81,24 @@ impl FeatureStore {
     /// Build an eager store over a row-major matrix of `len` rows of
     /// `dim` values each (row `i` at `flat[i * dim..(i + 1) * dim]`),
     /// sanitizing non-finite values in place. The buffer becomes the
-    /// store; nothing is copied.
-    pub fn from_flat(mut flat: Vec<f64>, len: usize, dim: usize) -> Self {
-        assert_eq!(flat.len(), len * dim, "flat matrix is not len × dim");
+    /// store; nothing is copied. Fails with [`AlemError::InvalidConfig`]
+    /// when `flat` does not hold `len * dim` values.
+    pub fn from_flat(mut flat: Vec<f64>, len: usize, dim: usize) -> Result<Self, AlemError> {
+        if len.checked_mul(dim) != Some(flat.len()) {
+            return Err(AlemError::InvalidConfig(format!(
+                "a flat matrix of {} values is not {len} rows × {dim} dims",
+                flat.len()
+            )));
+        }
         let sanitized = sanitize_row(&mut flat);
-        FeatureStore {
+        Ok(FeatureStore {
             backing: Backing::Eager { flat },
             len,
             dim,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             sanitized: AtomicU64::new(sanitized),
-        }
+        })
     }
 
     /// Build a lazy store over `pairs`, shared with the corpus that owns
@@ -410,7 +417,7 @@ mod tests {
     #[test]
     fn eager_rows_round_trip_flat() {
         let flat = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let store = FeatureStore::from_flat(flat.clone(), 3, 2);
+        let store = FeatureStore::from_flat(flat.clone(), 3, 2).unwrap();
         assert_eq!(store.len(), 3);
         assert_eq!(store.dim(), 2);
         assert!(!store.is_lazy());
@@ -423,7 +430,7 @@ mod tests {
 
     #[test]
     fn eager_sanitizes_and_counts() {
-        let store = FeatureStore::from_flat(vec![f64::NAN, 1.0, 0.5, f64::INFINITY], 2, 2);
+        let store = FeatureStore::from_flat(vec![f64::NAN, 1.0, 0.5, f64::INFINITY], 2, 2).unwrap();
         assert_eq!(store.sanitized_count(), 2);
         assert_eq!(store.row(0), &[0.0, 1.0]);
         assert_eq!(store.row(1), &[0.5, 0.0]);
@@ -436,7 +443,8 @@ mod tests {
             fx.extract_all_with(&pairs, &alem_par::Parallelism::sequential()),
             pairs.len(),
             fx.dim(),
-        );
+        )
+        .unwrap();
         let lazy = FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs));
         assert_eq!(lazy.len(), eager.len());
         assert_eq!(lazy.dim(), eager.dim());

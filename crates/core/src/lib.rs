@@ -42,7 +42,7 @@
 //!     .map(|i| vec![i as f64 / 200.0, (i % 7) as f64 / 7.0])
 //!     .collect();
 //! let truth: Vec<bool> = (0..200).map(|i| i >= 120).collect();
-//! let corpus = Corpus::from_features(feats, truth.clone());
+//! let corpus = Corpus::from_features(feats, truth.clone()).expect("one label per row");
 //!
 //! let params = LoopParams::builder()
 //!     .seed_size(20)

@@ -176,7 +176,7 @@ mod tests {
             .map(|i| vec![i as f64 / n as f64, (i % 13) as f64 / 13.0])
             .collect();
         let truth: Vec<bool> = (0..n).map(|i| i >= 3 * n / 4).collect();
-        Corpus::from_features(feats, truth)
+        Corpus::from_features(feats, truth).unwrap()
     }
 
     fn quick_params() -> LoopParams {
@@ -313,7 +313,7 @@ mod tests {
     fn single_class_corpus_does_not_panic() {
         let feats: Vec<Vec<f64>> = (0..60).map(|i| vec![i as f64 / 60.0]).collect();
         let truth = vec![false; 60];
-        let c = Corpus::from_features(feats, truth);
+        let c = Corpus::from_features(feats, truth).unwrap();
         let oracle = Oracle::perfect(c.truths().to_vec());
         let mut al = ActiveLearner::new(
             TreeQbcStrategy::new(3),

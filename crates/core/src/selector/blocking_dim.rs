@@ -88,7 +88,7 @@ mod tests {
             })
             .collect();
         let truth: Vec<bool> = (0..100).map(|i| i >= 75).collect();
-        Corpus::from_features(feats, truth)
+        Corpus::from_features(feats, truth).unwrap()
     }
 
     #[test]

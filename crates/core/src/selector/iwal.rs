@@ -108,7 +108,7 @@ mod tests {
     fn corpus() -> Corpus {
         let feats: Vec<Vec<f64>> = (0..200).map(|i| vec![i as f64 / 200.0]).collect();
         let truth: Vec<bool> = (0..200).map(|i| i >= 100).collect();
-        Corpus::from_features(feats, truth)
+        Corpus::from_features(feats, truth).unwrap()
     }
 
     #[test]

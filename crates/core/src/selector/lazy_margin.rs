@@ -311,7 +311,9 @@ mod tests {
             .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
             .collect();
         let truth: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        Corpus::from_features(feats, truth).with_bounded_features()
+        Corpus::from_features(feats, truth)
+            .unwrap()
+            .with_bounded_features()
     }
 
     fn svm(dim: usize, seed: u64) -> LinearSvm {

@@ -180,7 +180,9 @@ mod tests {
             bools.push(vec![b0, b1]);
             truth.push(t);
         }
-        Corpus::from_features(feats, truth).with_bool_features(bools)
+        Corpus::from_features(feats, truth)
+            .and_then(|c| c.with_bool_features(bools))
+            .unwrap()
     }
 
     #[test]

@@ -152,7 +152,7 @@ mod tests {
             })
             .collect();
         let truth: Vec<bool> = feats.iter().map(|x| x[0] > 0.0).collect();
-        Corpus::from_features(feats, truth)
+        Corpus::from_features(feats, truth).unwrap()
     }
 
     #[test]

@@ -58,7 +58,7 @@ mod tests {
     fn corpus() -> Corpus {
         let feats: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 100.0]).collect();
         let truth: Vec<bool> = (0..100).map(|i| i >= 50).collect();
-        Corpus::from_features(feats, truth)
+        Corpus::from_features(feats, truth).unwrap()
     }
 
     #[test]
@@ -109,7 +109,7 @@ mod tests {
             .map(|i| vec![i as f64 / 37.0, ((i * 7) % 11) as f64 / 11.0, 0.0])
             .collect();
         let truth: Vec<bool> = (0..37).map(|i| i >= 20).collect();
-        let c = Corpus::from_features(feats, truth);
+        let c = Corpus::from_features(feats, truth).unwrap();
         let svm = LinearSvm::from_parts(vec![2.0, -1.5, -0.25], -0.5);
         let unlabeled: Vec<usize> = (0..37).rev().collect();
         let bits = |s: Vec<f64>| s.into_iter().map(f64::to_bits).collect::<Vec<_>>();

@@ -128,7 +128,7 @@ mod tests {
                 .map(|_| (0..dim).map(|_| if rng.gen_bool(0.2) { 0.0 } else { rng.gen() }).collect())
                 .collect();
             let truth: Vec<bool> = feats.iter().map(|x| x[0] + rng.gen::<f64>() * 0.3 > 0.7).collect();
-            let c = Corpus::from_features(feats, truth);
+            let c = Corpus::from_features(feats, truth).unwrap();
             for n in [0, 1, 2, 600] {
                 let labeled: Vec<(usize, bool)> = (0..n).map(|i| (i, c.truth(i))).collect();
                 let mut seeds = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -166,7 +166,7 @@ mod tests {
     fn corpus() -> Corpus {
         let feats: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 100.0]).collect();
         let truth: Vec<bool> = (0..100).map(|i| i >= 50).collect();
-        Corpus::from_features(feats, truth)
+        Corpus::from_features(feats, truth).unwrap()
     }
 
     fn labeled_seed(c: &Corpus) -> Vec<(usize, bool)> {

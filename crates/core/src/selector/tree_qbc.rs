@@ -34,7 +34,7 @@ mod tests {
     fn corpus() -> Corpus {
         let feats: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64 / 100.0]).collect();
         let truth: Vec<bool> = (0..100).map(|i| i >= 50).collect();
-        Corpus::from_features(feats, truth)
+        Corpus::from_features(feats, truth).unwrap()
     }
 
     #[test]

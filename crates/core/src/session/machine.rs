@@ -408,6 +408,14 @@ impl<S: Strategy> SessionMachine<S> {
                 ckpt.corpus_fingerprint
             )));
         }
+        let labeled = ckpt.labeled.iter().map(|&(i, _)| i);
+        let mut ids = labeled.chain(ckpt.unlabeled.iter().chain(&ckpt.eval_idx).copied());
+        if let Some(i) = ids.find(|&i| i >= corpus.len()) {
+            return Err(AlemError::CheckpointCorrupt(format!(
+                "checkpoint names example {i}, past the corpus's {} pairs",
+                corpus.len()
+            )));
+        }
         if ckpt.strategy != self.strategy_name {
             return Err(AlemError::InvalidConfig(format!(
                 "checkpoint was taken with strategy '{}', learner runs '{}'",

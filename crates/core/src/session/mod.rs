@@ -335,7 +335,7 @@ mod tests {
             .map(|i| vec![i as f64 / n as f64, (i % 13) as f64 / 13.0])
             .collect();
         let truth: Vec<bool> = (0..n).map(|i| i >= 3 * n / 4).collect();
-        Corpus::from_features(feats, truth)
+        Corpus::from_features(feats, truth).unwrap()
     }
 
     fn params() -> LoopParams {
@@ -902,6 +902,79 @@ mod tests {
         );
     }
 
+    /// Answer every pending query with the truth until the machine leaves
+    /// `AwaitingAnswers` or reaches iteration boundary `stop`.
+    fn answer_until<S: crate::strategy::Strategy>(
+        machine: &mut SessionMachine<S>,
+        c: &Corpus,
+        stop: Option<usize>,
+    ) -> Result<(), AlemError> {
+        while machine.state() == MachineState::AwaitingAnswers
+            && (stop.is_none() || machine.boundary_iter() != stop)
+        {
+            let wave: Vec<usize> = machine.pending().iter().map(|q| q.example).collect();
+            for i in wave {
+                machine.deliver(c, i, OracleAnswer::Label(c.truth(i)))?;
+            }
+        }
+        Ok(())
+    }
+
+    fn warm_margin() -> MarginSvmStrategy {
+        MarginSvmStrategy::builder().warm_start().build()
+    }
+
+    /// A corpus and the JSON of a warm margin session's checkpoint on it,
+    /// taken at the third iteration boundary, so its bytes hold a
+    /// `WarmState`.
+    fn warm_checkpoint() -> &'static (Corpus, String) {
+        static TARGET: std::sync::OnceLock<(Corpus, String)> = std::sync::OnceLock::new();
+        TARGET.get_or_init(|| {
+            let c = corpus(120);
+            let mut machine =
+                SessionMachine::new(warm_margin(), params(), SessionConfig::default());
+            machine.start(&c, 61).unwrap();
+            answer_until(&mut machine, &c, Some(3)).unwrap();
+            let ckpt = machine.checkpoint().expect("boundary reached");
+            assert!(ckpt.warm.is_some(), "a warm session checkpoints its state");
+            let json = serde_json::to_string(&ckpt).unwrap();
+            (c, json)
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+        /// One byte of a valid checkpoint replaced, or the checkpoint cut
+        /// short: the bytes fail to parse, or resuming on them gives `Ok`
+        /// or a structured error, and so does every answer after it. It
+        /// never panics.
+        #[test]
+        fn mutated_checkpoints_resume_or_fail_without_panicking(
+            at in 0..1_000_000usize,
+            byte in 0..=255u8,
+            cut in 0..8u8,
+        ) {
+            let (c, json) = warm_checkpoint();
+            let mut bytes = json.clone().into_bytes();
+            let at = at % bytes.len();
+            if cut == 0 {
+                bytes.truncate(at);
+            } else {
+                bytes[at] = byte;
+            }
+            let parsed = std::str::from_utf8(&bytes)
+                .ok()
+                .and_then(|text| serde_json::from_str::<Checkpoint>(text).ok());
+            if let Some(ckpt) = parsed {
+                let mut machine =
+                    SessionMachine::new(warm_margin(), params(), SessionConfig::default());
+                if machine.resume(c, ckpt).is_ok() {
+                    let _ = answer_until(&mut machine, c, None);
+                }
+            }
+        }
+    }
+
     /// Checkpoint the machine at a boundary, rebuild a fresh machine from
     /// that checkpoint, and finish: fingerprint must match the
     /// uninterrupted blocking run.
@@ -922,15 +995,7 @@ mod tests {
         );
         machine.start(&c, 61).unwrap();
         // Answer waves until the third iteration boundary, then snapshot.
-        while machine.state() == MachineState::AwaitingAnswers && machine.boundary_iter() != Some(3)
-        {
-            let wave: Vec<usize> = machine.pending().iter().map(|q| q.example).collect();
-            for i in wave {
-                machine
-                    .deliver(&c, i, OracleAnswer::Label(c.truth(i)))
-                    .unwrap();
-            }
-        }
+        answer_until(&mut machine, &c, Some(3)).unwrap();
         let ckpt = machine.checkpoint().expect("boundary reached");
         assert_eq!(ckpt.iter_no, 3);
         drop(machine);
@@ -941,14 +1006,7 @@ mod tests {
             SessionConfig::default(),
         );
         resumed.resume(&c, ckpt).unwrap();
-        while resumed.state() == MachineState::AwaitingAnswers {
-            let wave: Vec<usize> = resumed.pending().iter().map(|q| q.example).collect();
-            for i in wave {
-                resumed
-                    .deliver(&c, i, OracleAnswer::Label(c.truth(i)))
-                    .unwrap();
-            }
-        }
+        answer_until(&mut resumed, &c, None).unwrap();
         assert_eq!(resumed.state(), MachineState::Done);
         let run = resumed.take_result().unwrap();
         assert_eq!(

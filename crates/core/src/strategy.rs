@@ -1471,7 +1471,9 @@ mod tests {
         let bools: Vec<Vec<f64>> = (0..80)
             .map(|i| vec![f64::from(u8::from(i >= 40))])
             .collect();
-        Corpus::from_features(feats, truth).with_bool_features(bools)
+        Corpus::from_features(feats, truth)
+            .and_then(|c| c.with_bool_features(bools))
+            .unwrap()
     }
 
     fn seed_labeled(c: &Corpus) -> Vec<(usize, bool)> {

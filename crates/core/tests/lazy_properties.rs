@@ -43,7 +43,9 @@ proptest! {
             .map(|_| (0..dim).map(|_| rng.gen::<f64>()).collect())
             .collect();
         let truth: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        let corpus = Corpus::from_features(feats, truth).with_bounded_features();
+        let corpus = Corpus::from_features(feats, truth)
+            .unwrap()
+            .with_bounded_features();
         let w: Vec<f64> = (0..dim).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
         let svm = LinearSvm::from_parts(w, rng.gen::<f64>() - 0.5);
         let unlabeled: Vec<usize> = (0..n).collect();

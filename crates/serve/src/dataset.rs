@@ -55,7 +55,7 @@ pub fn build(spec: &str) -> Result<Corpus, AlemError> {
         features.push(vec![f0, f1, f2, f3]);
         truth.push(t);
     }
-    Ok(Corpus::from_features(features, truth).with_name(spec))
+    Ok(Corpus::from_features(features, truth)?.with_name(spec))
 }
 
 fn parse_spec(spec: &str) -> Result<(usize, u64, u64), AlemError> {

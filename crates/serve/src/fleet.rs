@@ -58,7 +58,7 @@ use alem_core::strategy::{
 };
 use alem_obs::{FlightRecorder, Registry, Span};
 use alem_par::Parallelism;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -213,6 +213,12 @@ struct Sessions {
     finished: BTreeMap<String, Finished>,
 }
 
+impl Sessions {
+    fn contains(&self, name: &str) -> bool {
+        self.held.contains_key(name) || self.finished.contains_key(name)
+    }
+}
+
 /// What a session's files hold once the restore checks passed.
 enum Restored {
     /// A readable done record.
@@ -292,8 +298,7 @@ impl Fleet {
     }
 
     fn exists(&self, name: &str) -> bool {
-        let sessions = self.sessions.lock();
-        sessions.held.contains_key(name) || sessions.finished.contains_key(name)
+        self.sessions.lock().contains(name)
     }
 
     /// The named session. A finished one is read back from disk into a
@@ -350,6 +355,13 @@ impl Fleet {
     fn with_locked<R>(&self, sess: &Arc<Mutex<Session>>, op: impl FnOnce(&mut Session) -> R) -> R {
         let mut s = sess.lock();
         let out = op(&mut s);
+        self.unlock(sess, s);
+        out
+    }
+
+    /// Release the lock `s` of `sess`, then retire the session as
+    /// [`Fleet::with_locked`] does.
+    fn unlock(&self, sess: &Arc<Mutex<Session>>, s: MutexGuard<'_, Session>) {
         let retire = s.on_disk().then(|| (s.name.clone(), s.resumed));
         drop(s);
         if let Some((name, resumed)) = retire {
@@ -367,7 +379,6 @@ impl Fleet {
                 sessions.finished.insert(name, finished);
             }
         }
-        out
     }
 
     /// Register a session no other thread can reach yet.
@@ -467,11 +478,16 @@ impl Fleet {
         else {
             return Response::err(proto::ERR_INVALID, "open requires dataset, seed, strategy");
         };
-        if self.exists(name) {
-            return Response::err(
+        let taken = || {
+            Response::err(
                 proto::ERR_EXISTS,
                 format!("session '{name}' already exists"),
-            );
+            )
+        };
+        // A taken name is answered before admission control and the
+        // dataset; the reservation below is what makes a name exclusive.
+        if self.exists(name) {
+            return taken();
         }
         let (live, _, _) = self.counts();
         if live as usize >= self.cfg.max_sessions {
@@ -512,17 +528,32 @@ impl Fleet {
             stop_at_f1: params.stop_at_f1,
             corpus_fingerprint: format!("{:016x}", corpus.content_fingerprint()),
         };
+        // Reserve the name before any work: the slot is published already
+        // locked by this thread, as `find` does for read-backs, so a second
+        // open of the name gets `exists` and a racing request waits for
+        // this one to settle.
+        let unopened = SessState::Poisoned(format!("opening '{name}' did not finish"));
+        let slot = Arc::new(Mutex::new(Session::new(name, unopened, false)));
+        let mut s = slot.lock();
+        {
+            let mut sessions = self.sessions.lock();
+            if sessions.contains(name) {
+                return taken();
+            }
+            sessions.held.insert(name.to_string(), Arc::clone(&slot));
+        }
         if let Err(e) = self.store.save_meta(&meta) {
+            self.sessions.lock().held.remove(name);
             return Response::err(proto::ERR_INVALID, format!("persisting meta: {e}"));
         }
 
         let mut machine = Box::new(Machine::new(strategy, params, self.machine_config()));
         let call = catch_unwind(AssertUnwindSafe(|| machine.start(&corpus, seed)));
-        let mut session = Session::new(name, SessState::Live(machine, corpus), false);
+        *s = Session::new(name, SessState::Live(machine, corpus), false);
         self.note_live();
-        self.settle(&mut session, call);
-        let response = self.session_response(&session);
-        self.place(session);
+        self.settle(&mut s, call);
+        let response = self.session_response(&s);
+        self.unlock(&slot, s);
         self.cfg.obs.counter_add("serve.sessions_opened", 1);
         self.update_gauge();
         response
@@ -1231,6 +1262,33 @@ mod tests {
                 ("beta".to_string(), "failed".to_string()),
             ]
         );
+    }
+
+    #[test]
+    fn concurrent_opens_of_a_new_name_answer_ok_once() {
+        let fleet = fleet("open-race", 400);
+        let names: Vec<String> = (0..200).map(|i| format!("race{i}")).collect();
+        // Two threads, one chunk each, open every name in step.
+        let barrier = std::sync::Barrier::new(2);
+        let replies = Parallelism::fixed(2).map(&[0, 1], |_| {
+            let open = |name: &String| {
+                barrier.wait();
+                fleet.handle(&Request::open(name, "toy", 7, "margin"))
+            };
+            names.iter().map(open).collect::<Vec<_>>()
+        });
+        for (i, name) in names.iter().enumerate() {
+            let pair = [&replies[0][i], &replies[1][i]];
+            let oks = pair.iter().filter(|r| r.ok).count();
+            let exists = pair
+                .iter()
+                .filter(|r| r.error.as_deref() == Some(proto::ERR_EXISTS))
+                .count();
+            assert_eq!((oks, exists), (1, 1), "{name}: {pair:?}");
+        }
+        let status = fleet.handle(&Request::new("status"));
+        assert_eq!(status.active, Some(200));
+        assert_eq!(status.sessions.map(|rows| rows.len()), Some(200));
     }
 
     #[test]

@@ -1,43 +1,51 @@
 //! Character q-gram similarity measures (Ukkonen q-gram distance and the
 //! Simon White bigram coefficient).
 //!
-//! Both take key-sorted `(gram, count)` multisets of any key type: the
-//! packed grams of [`crate::Prepared`], or the strings of
-//! [`crate::tokenize::qgrams`] counted with [`crate::tokenize::counted`].
+//! Both take each multiset as a sorted key list that repeats a key once
+//! per occurrence (the packed grams of [`crate::Prepared`], or the sorted
+//! strings of [`crate::tokenize::qgrams`]) and merge its runs of equal keys.
 
-use crate::tokenize::merge_counts;
+use crate::tokenize::merge_sorted;
+
+/// Each distinct key of a sorted key list, with its run length.
+fn runs<K: Ord>(keys: &[K]) -> impl Iterator<Item = (&K, u32)> {
+    keys.chunk_by(|x, y| x == y)
+        .map(|run| (&run[0], run.len() as u32))
+}
 
 /// Ukkonen q-gram distance converted to a similarity:
 /// `1 - sum |count_a - count_b| / (total_a + total_b)` over the q-gram
 /// multisets (this crate uses padded trigrams).
-pub fn qgram_sim<K: Ord>(a: &[(K, u32)], b: &[(K, u32)]) -> f64 {
-    let total: u32 = a.iter().map(|(_, n)| n).sum::<u32>() + b.iter().map(|(_, n)| n).sum::<u32>();
+pub fn qgram_sim<K: Ord>(a: &[K], b: &[K]) -> f64 {
+    let total = a.len() + b.len();
     if total == 0 {
         return 1.0;
     }
-    let dist = merge_counts(a, b, |x, y| f64::from(x.abs_diff(y)));
-    1.0 - dist / f64::from(total)
+    let dist = merge_sorted(runs(a), runs(b), |x, y| f64::from(x.abs_diff(y)));
+    1.0 - dist / total as f64
 }
 
 /// Simon White coefficient: Dice on bigram multisets,
 /// `2 * |overlap| / (|a| + |b|)` where overlap takes `min(count_a, count_b)`
 /// per gram.
-pub fn simon_white<K: Ord>(a: &[(K, u32)], b: &[(K, u32)]) -> f64 {
-    let total: u32 = a.iter().map(|(_, n)| n).sum::<u32>() + b.iter().map(|(_, n)| n).sum::<u32>();
+pub fn simon_white<K: Ord>(a: &[K], b: &[K]) -> f64 {
+    let total = a.len() + b.len();
     if total == 0 {
         return 1.0;
     }
-    let inter = merge_counts(a, b, |x, y| f64::from(x.min(y)));
-    2.0 * inter / f64::from(total)
+    let inter = merge_sorted(runs(a), runs(b), |x, y| f64::from(x.min(y)));
+    2.0 * inter / total as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tokenize::{counted, qgrams};
+    use crate::tokenize::qgrams;
 
-    fn grams(s: &str, q: usize) -> Vec<(String, u32)> {
-        counted(qgrams(s, q))
+    fn grams(s: &str, q: usize) -> Vec<String> {
+        let mut g = qgrams(s, q);
+        g.sort_unstable();
+        g
     }
 
     #[test]

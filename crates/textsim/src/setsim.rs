@@ -9,16 +9,11 @@
 use crate::prepared::Prepared;
 use crate::scratch::Scratch;
 use crate::seq;
-use crate::tokenize::merge_counts_by;
+use crate::tokenize::merge_sorted;
 
 /// Sum `f(count_a, count_b)` over the distinct tokens of either value.
 fn merge_tokens(a: &Prepared, b: &Prepared, f: impl FnMut(u32, u32) -> f64) -> f64 {
-    merge_counts_by(
-        a.token_counts(),
-        b.token_counts(),
-        |&x, &y| a.token(x).cmp(b.token(y)),
-        f,
-    )
+    merge_sorted(a.token_counts(), b.token_counts(), f)
 }
 
 /// Sizes of the two token sets and of their intersection.
@@ -73,7 +68,7 @@ pub fn cosine(a: &Prepared, b: &Prepared) -> f64 {
 
 /// Total token count of a value.
 fn token_total(p: &Prepared) -> u32 {
-    p.token_counts().iter().map(|&(_, n)| n).sum()
+    p.token_counts().map(|(_, n)| n).sum()
 }
 
 /// Block (L1 / Manhattan) distance on token multisets, converted to a
@@ -94,8 +89,7 @@ pub fn block_distance_sim(a: &Prepared, b: &Prepared) -> f64 {
 pub fn euclidean_sim(a: &Prepared, b: &Prepared) -> f64 {
     let sq = |p: &Prepared| -> f64 {
         p.token_counts()
-            .iter()
-            .map(|&(_, n)| f64::from(n) * f64::from(n))
+            .map(|(_, n)| f64::from(n) * f64::from(n))
             .sum()
     };
     let denom = (sq(a) + sq(b)).sqrt();

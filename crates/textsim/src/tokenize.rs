@@ -5,6 +5,8 @@
 //! whitespace collapsed. This mirrors the preprocessing entity-matching
 //! pipelines apply before computing Simmetrics similarities.
 
+use std::cmp::Ordering;
+
 /// Lowercase, replace punctuation with spaces and collapse whitespace.
 ///
 /// ```
@@ -54,9 +56,6 @@ pub fn qgrams(normalized: &str, q: usize) -> Vec<String> {
 }
 
 /// Multiset of items with counts, sorted by item for deterministic iteration.
-///
-/// Used for the q-gram multisets of Simon White and the q-gram distance,
-/// which operate on multisets rather than sets.
 pub fn counted<T: Ord, I: IntoIterator<Item = T>>(items: I) -> Vec<(T, u32)> {
     let mut v: Vec<T> = items.into_iter().collect();
     v.sort_unstable();
@@ -78,50 +77,34 @@ pub fn merge_counts<K: Ord, F: FnMut(u32, u32) -> f64>(
     b: &[(K, u32)],
     f: F,
 ) -> f64 {
-    merge_counts_by(a, b, K::cmp, f)
+    let (a, b) = (
+        a.iter().map(|(k, n)| (k, *n)),
+        b.iter().map(|(k, n)| (k, *n)),
+    );
+    merge_sorted(a, b, f)
 }
 
-/// [`merge_counts`] over lists sorted by `cmp`, which orders a key of `a`
-/// against a key of `b` (the keys may be handles whose order is not their
-/// own, such as token indices ordered by token content).
-pub(crate) fn merge_counts_by<A, B, C, F>(
-    a: &[(A, u32)],
-    b: &[(B, u32)],
-    mut cmp: C,
-    mut f: F,
-) -> f64
-where
-    C: FnMut(&A, &B) -> std::cmp::Ordering,
-    F: FnMut(u32, u32) -> f64,
-{
-    let (mut i, mut j) = (0, 0);
+/// [`merge_counts`] over any two `(key, count)` sequences in ascending
+/// key order, such as the distinct tokens of two values or the runs of
+/// two sorted key lists: `f` runs once per key, in key order.
+pub(crate) fn merge_sorted<K: Ord>(
+    a: impl IntoIterator<Item = (K, u32)>,
+    b: impl IntoIterator<Item = (K, u32)>,
+    mut f: impl FnMut(u32, u32) -> f64,
+) -> f64 {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
     let mut acc = 0.0;
-    while i < a.len() && j < b.len() {
-        match cmp(&a[i].0, &b[j].0) {
-            std::cmp::Ordering::Less => {
-                acc += f(a[i].1, 0);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                acc += f(0, b[j].1);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                acc += f(a[i].1, b[j].1);
-                i += 1;
-                j += 1;
-            }
-        }
+    loop {
+        let order = match (a.peek(), b.peek()) {
+            (Some((x, _)), Some((y, _))) => x.cmp(y),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return acc,
+        };
+        let x = a.next_if(|_| order.is_le()).map_or(0, |(_, n)| n);
+        let y = b.next_if(|_| order.is_ge()).map_or(0, |(_, n)| n);
+        acc += f(x, y);
     }
-    while i < a.len() {
-        acc += f(a[i].1, 0);
-        i += 1;
-    }
-    while j < b.len() {
-        acc += f(0, b[j].1);
-        j += 1;
-    }
-    acc
 }
 
 #[cfg(test)]

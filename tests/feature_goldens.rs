@@ -5,9 +5,13 @@
 //! constants were recorded from the per-cell kernels that score one
 //! `Prepared` per table cell; any rewrite of the similarity kernels or of
 //! the extractor must reproduce them bit for bit, at any thread count.
+//! Next to them sits the extractor's exact memory footprint on the
+//! benchmark's Cora tables.
 
+use alem_bench::data::DATA_SEED;
 use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
+use alem_core::features::FeatureExtractor;
 use alem_core::schema::EmDataset;
 use alem_par::Parallelism;
 use datagen::social::{generate_social, SocialConfig};
@@ -37,6 +41,16 @@ const PAPER_PINS: [(PaperDataset, u64); 9] = [
 /// The social corpus at `SocialConfig::scaled(0.1)`, seed [`SEED`],
 /// blocked at Jaccard 0.2.
 const SOCIAL_PIN: u64 = 0x728b_1037_ef19_534e;
+
+/// The extractor's `Debug` on Cora at scale 0.2 and [`DATA_SEED`], the
+/// tables of the `qbc-cora` benchmark workload. `retained_bytes` counts
+/// its boxed slices by length and its structs by size, so it is exact and
+/// independent of the allocator: a change to the layout of the prepared
+/// views or of the cell index moves it.
+const CORA_EXTRACTOR: &str = "FeatureExtractor { \
+    attrs: [\"author\", \"title\", \"venue\", \"address\", \"publisher\", \"editor\", \
+    \"date\", \"vol\", \"pgs\"], left_records: 2864, right_records: 2864, \
+    distinct_values: 14359, retained_bytes: 9384676 }";
 
 /// Eager fingerprints of `ds` blocked at `threshold`, built sequentially
 /// and on three threads; both must agree before either is compared.
@@ -82,6 +96,13 @@ fn paper_dataset_features_are_pinned() {
         "feature bits changed:\n{}",
         wrong.join("\n")
     );
+}
+
+#[test]
+fn cora_extractor_footprint_is_pinned() {
+    let ds = datagen::generate(&PaperDataset::Cora.config(0.2), DATA_SEED);
+    let fx = FeatureExtractor::new(&ds).expect("both tables share Cora's schema");
+    assert_eq!(format!("{fx:?}"), CORA_EXTRACTOR);
 }
 
 /// The lazy store fills rows through the extractor's two entry points: a

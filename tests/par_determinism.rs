@@ -38,7 +38,9 @@ fn corpus(n: usize) -> Corpus {
         })
         .collect();
     let truth: Vec<bool> = (0..n).map(|i| i >= 3 * n / 4).collect();
-    Corpus::from_features(feats, truth).with_bool_features(bools)
+    Corpus::from_features(feats, truth)
+        .and_then(|c| c.with_bool_features(bools))
+        .unwrap()
 }
 
 fn params() -> LoopParams {
@@ -172,7 +174,7 @@ proptest! {
         let n = xs.len();
         let feats: Vec<Vec<f64>> = xs.iter().map(|&v| vec![v]).collect();
         let truth: Vec<bool> = xs.iter().map(|&v| v > 0.0).collect();
-        let c = Corpus::from_features(feats, truth);
+        let c = Corpus::from_features(feats, truth).unwrap();
         let svm = LinearSvm::from_parts(vec![1.3], -0.1);
         let unlabeled: Vec<usize> = (0..n).collect();
 

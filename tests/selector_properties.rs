@@ -13,7 +13,7 @@ use rand::SeedableRng;
 fn corpus_from(xs: Vec<f64>) -> Corpus {
     let feats: Vec<Vec<f64>> = xs.iter().map(|&v| vec![v]).collect();
     let truth: Vec<bool> = xs.iter().map(|&v| v > 0.5).collect();
-    Corpus::from_features(feats, truth)
+    Corpus::from_features(feats, truth).unwrap()
 }
 
 proptest! {
@@ -131,7 +131,7 @@ proptest! {
         }
         let n = feats.len();
         let truth = vec![false; n];
-        let corpus = Corpus::from_features(feats, truth);
+        let corpus = Corpus::from_features(feats, truth).unwrap();
         let svm = LinearSvm::from_parts(vec![5.0, 0.01], -1.0);
         let unlabeled: Vec<usize> = (0..n).collect();
         let mut rng = StdRng::seed_from_u64(5);

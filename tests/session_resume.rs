@@ -18,7 +18,7 @@ fn corpus(n: usize) -> Corpus {
         })
         .collect();
     let truth: Vec<bool> = (0..n).map(|i| i >= (n * 3) / 5).collect();
-    Corpus::from_features(feats, truth)
+    Corpus::from_features(feats, truth).unwrap()
 }
 
 fn oracle(c: &Corpus, noise: f64) -> Oracle {
