@@ -13,7 +13,10 @@
 //!
 //! Minimum-of-samples (not mean) is compared because scheduler noise
 //! only ever adds time; the minimum is the closest observable to the
-//! true cost of each configuration.
+//! true cost of each configuration. The round runs on one thread, so no
+//! sample waits for a second core, and each sample repeats it for at
+//! least [`SAMPLE_SECS`], so a sample is long against the host's timer
+//! and scheduling jitter: a round alone takes well under a millisecond.
 
 use alem_bench::data::prepare;
 use alem_core::learner::{SvmTrainer, Trainer};
@@ -25,10 +28,11 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Interleaved measurement rounds per configuration.
-const SAMPLES: usize = 9;
-/// Selection rounds per measured sample.
-const ROUNDS_PER_SAMPLE: usize = 4;
+/// Interleaved measured samples per configuration.
+const SAMPLES: usize = 25;
+/// Least wall time of one sample; the rounds per sample are set from a
+/// timed round to reach it.
+const SAMPLE_SECS: f64 = 0.02;
 /// Maximum tolerated (enabled − disabled) / disabled.
 const MAX_OVERHEAD: f64 = 0.05;
 
@@ -55,7 +59,7 @@ fn main() {
         &labeled.iter().map(|&(_, y)| y).collect::<Vec<_>>(),
         &mut rng,
     );
-    let par = alem_par::Parallelism::default();
+    let par = alem_par::Parallelism::sequential();
 
     let round = |obs: &Registry| {
         let mut rng = StdRng::seed_from_u64(1);
@@ -67,35 +71,40 @@ fn main() {
     let disabled = Registry::disabled();
     let enabled = Registry::enabled();
 
-    // Warmup both paths (page cache, branch predictors, allocator).
+    // Warmup both paths (page cache, branch predictors, allocator), then
+    // time the disabled path to size the samples.
     for _ in 0..2 {
         round(&disabled);
         round(&enabled);
     }
+    let timed = |obs: &Registry| {
+        let t = Instant::now();
+        round(obs);
+        t.elapsed().as_secs_f64()
+    };
+    let rounds_per_sample = (SAMPLE_SECS / timed(&disabled)).ceil().max(1.0) as usize;
 
-    // Interleave samples so drift (thermal, background load) hits both
-    // configurations symmetrically.
+    // A sample of each configuration is the sum of its rounds, which
+    // alternate round by round, so drift (thermal, background load) hits
+    // both configurations alike.
     let mut best_disabled = f64::INFINITY;
     let mut best_enabled = f64::INFINITY;
     for _ in 0..SAMPLES {
-        let t = Instant::now();
-        for _ in 0..ROUNDS_PER_SAMPLE {
-            round(&disabled);
+        let (mut sample_disabled, mut sample_enabled) = (0.0, 0.0);
+        for _ in 0..rounds_per_sample {
+            sample_disabled += timed(&disabled);
+            sample_enabled += timed(&enabled);
         }
-        best_disabled = best_disabled.min(t.elapsed().as_secs_f64());
-
-        let t = Instant::now();
-        for _ in 0..ROUNDS_PER_SAMPLE {
-            round(&enabled);
-        }
-        best_enabled = best_enabled.min(t.elapsed().as_secs_f64());
+        best_disabled = best_disabled.min(sample_disabled);
+        best_enabled = best_enabled.min(sample_enabled);
     }
 
     let overhead = (best_enabled - best_disabled) / best_disabled;
     println!(
-        "obs_overhead: disabled {:.3} ms/round, enabled {:.3} ms/round, overhead {:+.2}%",
-        best_disabled * 1e3 / ROUNDS_PER_SAMPLE as f64,
-        best_enabled * 1e3 / ROUNDS_PER_SAMPLE as f64,
+        "obs_overhead: {rounds_per_sample} rounds per sample, disabled {:.3} ms/round, \
+         enabled {:.3} ms/round, overhead {:+.2}%",
+        best_disabled * 1e3 / rounds_per_sample as f64,
+        best_enabled * 1e3 / rounds_per_sample as f64,
         overhead * 100.0
     );
     if overhead > MAX_OVERHEAD {

@@ -4,11 +4,10 @@
 
 use alem_block::TokenIndex;
 use alem_core::corpus::Corpus;
-use alem_core::features::FeatureExtractor;
+use alem_core::features::FeatureSpace;
 use alem_core::schema::EmDataset;
 use alem_par::Parallelism;
 use datagen::PaperDataset;
-use std::sync::Arc;
 
 /// Fixed generation seed so every experiment sees the same corpora.
 pub const DATA_SEED: u64 = 20200614; // SIGMOD'20 opening day
@@ -17,18 +16,19 @@ pub const DATA_SEED: u64 = 20200614; // SIGMOD'20 opening day
 pub struct PreparedData {
     /// The featurized post-blocking pair universe.
     pub corpus: Corpus,
-    /// The extractor (for feature descriptions in interpretability output).
-    pub extractor: Arc<FeatureExtractor>,
+    /// The feature space (for feature descriptions in interpretability
+    /// output).
+    pub space: FeatureSpace,
 }
 
 /// Build a corpus for a generated dataset with its configured blocking
 /// threshold, featurizing across the machine's cores.
 pub fn prepare_dataset(ds: &EmDataset, blocking_threshold: f64) -> PreparedData {
     let blocking = TokenIndex::builder().threshold(blocking_threshold).build();
-    let (corpus, extractor) = Corpus::from_candidates_with(ds, &blocking, &Parallelism::default())
+    let (corpus, space) = Corpus::from_candidates_with(ds, &blocking, &Parallelism::default())
         // alem-lint: allow(panic-reach) -- the Jaccard filter cannot fail; a failed build is a harness bug
         .unwrap_or_else(|e| panic!("corpus build failed: {e}"));
-    PreparedData { corpus, extractor }
+    PreparedData { corpus, space }
 }
 
 /// Generate + prepare one paper dataset at `scale`.

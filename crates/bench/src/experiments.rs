@@ -758,7 +758,7 @@ pub fn rules_listing(cfg: ExpConfig) -> String {
         .unwrap_or_else(|e| panic!("rules listing run failed: {e}"));
     let strategy = al.into_strategy();
     let dnf = strategy.effective_dnf();
-    let descs = p.extractor.bool_descriptions();
+    let descs = p.space.bool_descriptions();
     format!
         (
         "Abt-Buy learned rule ensemble (#DNF Atoms = {}, best progressive F1 = {:.3}, labels = {}):\n{}",

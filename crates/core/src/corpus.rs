@@ -10,7 +10,7 @@
 
 use crate::candidates::{collect_validated, CandidateSource};
 use crate::error::AlemError;
-use crate::features::FeatureExtractor;
+use crate::features::{extract_rows, FeatureExtractor, FeatureSpace};
 use crate::featurestore::FeatureStore;
 use crate::schema::{EmDataset, Pair};
 use rand::seq::SliceRandom;
@@ -25,8 +25,8 @@ enum BoolFeatures {
     // alem-lint: allow(flat-feature-store) -- verbatim caller-attached predicate rows, the rule-learner ingestion seam
     Eager(Vec<Vec<f64>>),
     Derived {
-        fx: Arc<FeatureExtractor>,
-        // alem-lint: allow(flat-feature-store) -- memo cell for rows derived via FeatureExtractor::booleanize
+        space: FeatureSpace,
+        // alem-lint: allow(flat-feature-store) -- memo cell for rows derived via FeatureSpace::booleanize
         cell: OnceLock<Vec<Vec<f64>>>,
     },
 }
@@ -50,13 +50,13 @@ impl Corpus {
     /// Build a corpus from any [`CandidateSource`] — the paper's Jaccard
     /// filter (`alem_block::TokenIndex`), another `alem-block` index
     /// strategy, or anything else that streams deterministic sorted pairs
-    /// — featurize eagerly, and attach ground truth. Returns the corpus and the
-    /// (shared) extractor, whose feature descriptions the
+    /// — featurize eagerly, and attach ground truth. Returns the corpus and
+    /// its [`FeatureSpace`], whose feature descriptions the
     /// interpretability reports need.
     pub fn from_candidates(
         ds: &EmDataset,
         source: &dyn CandidateSource,
-    ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
+    ) -> Result<(Self, FeatureSpace), AlemError> {
         Corpus::from_candidates_with(ds, source, &alem_par::Parallelism::default())
     }
 
@@ -72,7 +72,7 @@ impl Corpus {
         ds: &EmDataset,
         source: &dyn CandidateSource,
         par: &alem_par::Parallelism,
-    ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
+    ) -> Result<(Self, FeatureSpace), AlemError> {
         Corpus::from_stream(ds, source, Some(par))
     }
 
@@ -82,32 +82,34 @@ impl Corpus {
     /// the row is memoized for the corpus lifetime. Rows are
     /// bit-identical to the eager build; see
     /// [`Corpus::content_fingerprint`] for the one observable difference.
+    /// The store keeps the whole [`FeatureExtractor`] to fill rows from.
     pub fn from_candidates_lazy(
         ds: &EmDataset,
         source: &dyn CandidateSource,
-    ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
+    ) -> Result<(Self, FeatureSpace), AlemError> {
         Corpus::from_stream(ds, source, None)
     }
 
     /// The one build body behind every extractor-backed corpus: collect
     /// the candidate stream while checking its contract (sorted, no
     /// duplicates, in bounds; otherwise `AlemError::InvalidConfig`),
-    /// build the extractor, featurize, and attach ground truth. Eager
-    /// and lazy builds differ only in the store: `Some(par)` scores
-    /// every row now, fanned out over `par`, straight into the flat
-    /// store; `None` leaves each row to its first read.
+    /// featurize, and attach ground truth. Eager and lazy builds differ
+    /// only in the store: `Some(par)` scores every row now, one
+    /// attribute at a time and in row blocks run on `par`, straight into
+    /// the flat store, and keeps no prepared view; `None` leaves each row
+    /// to its first read from the whole extractor.
     fn from_stream(
         ds: &EmDataset,
         source: &dyn CandidateSource,
         eager: Option<&alem_par::Parallelism>,
-    ) -> Result<(Self, Arc<FeatureExtractor>), AlemError> {
+    ) -> Result<(Self, FeatureSpace), AlemError> {
         let pairs = Arc::new(collect_validated(source, ds)?);
-        let fx = Arc::new(FeatureExtractor::new(ds)?);
+        let space = FeatureSpace::new(ds)?;
         let store = match eager {
             Some(par) => {
-                FeatureStore::from_flat(fx.extract_all_with(&pairs, par), pairs.len(), fx.dim())?
+                FeatureStore::from_flat(extract_rows(ds, &pairs, par)?, pairs.len(), space.dim())?
             }
-            None => FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs)),
+            None => FeatureStore::lazy(Arc::new(FeatureExtractor::new(ds)?), Arc::clone(&pairs)),
         };
         let truth = pairs.iter().map(|&p| ds.is_match(p)).collect();
         Ok((
@@ -116,13 +118,13 @@ impl Corpus {
                 pairs,
                 store,
                 bool_features: BoolFeatures::Derived {
-                    fx: Arc::clone(&fx),
+                    space: space.clone(),
                     cell: OnceLock::new(),
                 },
                 truth,
                 bounded01: true,
             },
-            fx,
+            space,
         ))
     }
 
@@ -255,9 +257,9 @@ impl Corpus {
         match &self.bool_features {
             BoolFeatures::None => None,
             BoolFeatures::Eager(rows) => Some(rows),
-            BoolFeatures::Derived { fx, cell } => Some(cell.get_or_init(|| {
+            BoolFeatures::Derived { space, cell } => Some(cell.get_or_init(|| {
                 (0..self.store.len())
-                    .map(|i| fx.booleanize(self.store.row(i)))
+                    .map(|i| space.atoms(self.store.row(i)))
                     .collect()
             })),
         }
@@ -400,17 +402,69 @@ impl Corpus {
 mod tests {
     use super::*;
     use crate::candidates::tests::{dataset, Fixed};
+    use crate::schema::{Record, Schema, Table};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn empty_stream_keeps_the_extractor_width() {
         let ds = dataset();
-        let (eager, fx) = Corpus::from_candidates(&ds, &Fixed(Vec::new(), 1)).unwrap();
+        let (eager, space) = Corpus::from_candidates(&ds, &Fixed(Vec::new(), 1)).unwrap();
         let (lazy, _) = Corpus::from_candidates_lazy(&ds, &Fixed(Vec::new(), 1)).unwrap();
         assert!(eager.is_empty() && lazy.is_empty());
-        assert_eq!(eager.dim(), fx.dim());
-        assert_eq!(lazy.dim(), fx.dim());
+        assert_eq!(eager.dim(), space.dim());
+        assert_eq!(lazy.dim(), space.dim());
+    }
+
+    /// `ds` cut to its first `n` attributes.
+    fn first_attrs(ds: &EmDataset, n: usize) -> EmDataset {
+        let cut = |t: &Table| {
+            let attrs = t.schema().attributes().iter().take(n);
+            let schema = Schema::new(attrs.map(|a| (a.name.as_str(), a.kind)).collect());
+            let records = t.records().iter();
+            let records = records.map(|r| Record::new(r.values()[..n].to_vec()));
+            Table::new(t.name(), schema, records.collect())
+        };
+        EmDataset {
+            left: cut(&ds.left),
+            right: cut(&ds.right),
+            ..ds.clone()
+        }
+    }
+
+    /// The in-place fill gives one corpus at any thread count, with the
+    /// rows of the whole extractor, on schemas of two, one and no
+    /// attributes and on streams of every pair, of fewer pairs than
+    /// threads, and of none.
+    #[test]
+    fn eager_fill_is_the_same_at_every_thread_count() {
+        let every: Vec<Pair> = (0..3).flat_map(|l| (0..4).map(move |r| (l, r))).collect();
+        for n_attrs in [2, 1, 0] {
+            let ds = first_attrs(&dataset(), n_attrs);
+            let fx = FeatureExtractor::new(&ds).unwrap();
+            for pairs in [every.clone(), vec![(0, 1), (2, 3)], Vec::new()] {
+                let build = |threads: usize| {
+                    let source = Fixed(pairs.clone(), 5);
+                    let par = alem_par::Parallelism::fixed(threads);
+                    Corpus::from_candidates_with(&ds, &source, &par).unwrap().0
+                };
+                let seq = build(1);
+                assert_eq!((seq.len(), seq.dim()), (pairs.len(), 21 * n_attrs));
+                for (i, &p) in pairs.iter().enumerate() {
+                    let want: Vec<u64> = fx.extract_pair(p).into_iter().map(f64::to_bits).collect();
+                    let got: Vec<u64> = seq.x(i).iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{n_attrs} attributes, row {i}");
+                }
+                for threads in [2, 3, 8] {
+                    assert_eq!(
+                        build(threads).content_fingerprint(),
+                        seq.content_fingerprint(),
+                        "{n_attrs} attributes, {} pairs, {threads} threads",
+                        pairs.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub enum AlemError {
     },
 
     /// A checkpoint file exists but cannot be trusted: unparsable, wrong
-    /// version, or inconsistent with the corpus it is being resumed on.
+    /// version, failing its checksum, or inconsistent with the corpus it
+    /// is being resumed on.
     CheckpointCorrupt(String),
 
     /// The loop made no labeling progress for too many consecutive

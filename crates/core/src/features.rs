@@ -10,12 +10,17 @@
 //! The extractor pre-tokenizes every distinct attribute value once
 //! ([`textsim::Prepared`]) so evaluating 21 measures per pair doesn't re-do
 //! tokenization, and scores through one [`textsim::Scratch`] per worker so
-//! the kernels do not allocate per cell.
+//! the kernels do not allocate per cell. An eager build prepares one
+//! attribute's values at a time and scores them into the store in place;
+//! what a corpus keeps afterwards is a [`FeatureSpace`], which holds the
+//! attribute names and no prepared value.
 
 use crate::error::AlemError;
 use crate::schema::{EmDataset, Pair, Table};
+use alem_par::Parallelism;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use textsim::{Prepared, Scratch, SimilarityFunction};
 
 /// The discrete thresholds rule predicates are evaluated on (paper §3:
@@ -70,57 +75,26 @@ impl fmt::Display for BoolFeatureDesc {
     }
 }
 
-/// Pre-tokenized feature extractor over a dataset's two tables.
-///
-/// Cells that hold the same raw string share one [`Prepared`] value:
-/// `Prepared::new` is a pure function of the raw string, so interning is
-/// exact, and most cells of a real table repeat a value.
-pub struct FeatureExtractor {
+/// Similarity functions per attribute: the continuous dims of one
+/// attribute.
+const N_SIMS: usize = SimilarityFunction::ALL.len();
+
+/// Row blocks per worker thread in an eager build: more blocks than
+/// threads, so the work queue of [`Parallelism::run`] evens out rows
+/// that cost more than others.
+const BLOCKS_PER_THREAD: usize = 4;
+
+/// The feature space of a dataset's aligned schema: its attribute names,
+/// and from them the continuous and Boolean dimensions, their
+/// descriptions, and the Boolean predicates of a continuous row. It holds
+/// no prepared value, so it is all a corpus keeps of its build.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FeatureSpace {
     attr_names: Box<[String]>,
-    /// One prepared view per distinct raw value of either table.
-    values: Box<[Prepared]>,
-    /// `values` index of each cell, `[record * #attrs + attr]`.
-    left: Box<[u32]>,
-    right: Box<[u32]>,
 }
 
-impl fmt::Debug for FeatureExtractor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let n_attrs = self.attr_names.len().max(1);
-        f.debug_struct("FeatureExtractor")
-            .field("attrs", &self.attr_names)
-            .field("left_records", &(self.left.len() / n_attrs))
-            .field("right_records", &(self.right.len() / n_attrs))
-            .field("distinct_values", &self.values.len())
-            .field("retained_bytes", &self.retained_bytes())
-            .finish()
-    }
-}
-
-/// The `values` index of every cell of `table`, interning each distinct
-/// raw value (a missing value is the empty string) on first sight.
-fn intern_table<'t>(
-    table: &'t Table,
-    ids: &mut BTreeMap<&'t str, u32>,
-    values: &mut Vec<Prepared>,
-) -> Box<[u32]> {
-    let mut cells = Vec::with_capacity(table.len() * table.schema().len());
-    for i in 0..table.len() {
-        let record = table.record(i);
-        for a in 0..table.schema().len() {
-            let raw = record.value(a).unwrap_or("");
-            let id = *ids.entry(raw).or_insert_with(|| {
-                values.push(Prepared::new(raw));
-                (values.len() - 1) as u32
-            });
-            cells.push(id);
-        }
-    }
-    cells.into_boxed_slice()
-}
-
-impl FeatureExtractor {
-    /// Tokenize every distinct attribute value of both tables.
+impl FeatureSpace {
+    /// The feature space of `ds`'s schema.
     ///
     /// Fails with [`AlemError::InvalidConfig`] when the two tables'
     /// schemas differ, since features pair attributes by position.
@@ -132,11 +106,7 @@ impl FeatureExtractor {
                 ds.right.name()
             )));
         }
-        let mut ids = BTreeMap::new();
-        let mut values = Vec::new();
-        let left = intern_table(&ds.left, &mut ids, &mut values);
-        let right = intern_table(&ds.right, &mut ids, &mut values);
-        Ok(FeatureExtractor {
+        Ok(FeatureSpace {
             attr_names: ds
                 .left
                 .schema()
@@ -144,58 +114,12 @@ impl FeatureExtractor {
                 .iter()
                 .map(|a| a.name.clone())
                 .collect(),
-            values: values.into_boxed_slice(),
-            left,
-            right,
         })
-    }
-
-    /// Bytes the extractor holds: its own struct, the attribute names,
-    /// every prepared value with its views, and the two cell indexes.
-    /// Every part is an exact-size slice or string, so the count is
-    /// exact and does not depend on the allocator.
-    fn retained_bytes(&self) -> usize {
-        let names: usize = self
-            .attr_names
-            .iter()
-            .map(|a| size_of_val(a) + a.len())
-            .sum();
-        let values: usize = self
-            .values
-            .iter()
-            .map(|v| size_of_val(v) + v.heap_bytes())
-            .sum();
-        size_of::<Self>() + names + values + size_of_val(&*self.left) + size_of_val(&*self.right)
-    }
-
-    /// Score `dims` of `pair` in the order given, sending each
-    /// `(dim, value)` to `sink`. Every run of dims on one attribute shares
-    /// one [`textsim::PairScorer`]. All feature values come from here.
-    fn score_dims(
-        &self,
-        pair: Pair,
-        dims: impl IntoIterator<Item = usize>,
-        scratch: &mut Scratch,
-        mut sink: impl FnMut(usize, f64),
-    ) {
-        let n_sims = SimilarityFunction::ALL.len();
-        let n_attrs = self.attr_names.len();
-        let l = &self.left[pair.0 as usize * n_attrs..][..n_attrs];
-        let r = &self.right[pair.1 as usize * n_attrs..][..n_attrs];
-        let mut dims = dims.into_iter().peekable();
-        while let Some(&first) = dims.peek() {
-            let attr = first / n_sims;
-            let (a, b) = (l[attr] as usize, r[attr] as usize);
-            let mut scorer = scratch.pair(&self.values[a], &self.values[b]);
-            while let Some(d) = dims.next_if(|&d| d / n_sims == attr) {
-                sink(d, scorer.score(SimilarityFunction::ALL[d % n_sims]));
-            }
-        }
     }
 
     /// Number of continuous feature dimensions (21 × #attrs).
     pub fn dim(&self) -> usize {
-        self.attr_names.len() * SimilarityFunction::ALL.len()
+        self.attr_names.len() * N_SIMS
     }
 
     /// Descriptions of the continuous dimensions, attribute-major: the
@@ -211,43 +135,6 @@ impl FeatureExtractor {
             }
         }
         out
-    }
-
-    /// Continuous feature vector for one candidate pair.
-    pub fn extract_pair(&self, pair: Pair) -> Vec<f64> {
-        self.extract_all_with(&[pair], &alem_par::Parallelism::sequential())
-    }
-
-    /// Continuous feature matrix for a pair list, row-major: row `i`
-    /// (the features of `pairs[i]`) is `[i * dim .. (i + 1) * dim]`.
-    /// Work fans out over worker threads; each chunk scores into one
-    /// buffer through one [`Scratch`], and the buffers join in pair
-    /// order, so the matrix (and every fingerprint downstream of it) is
-    /// identical to the sequential build. With one thread the chunk's
-    /// buffer is the matrix, with no copy.
-    pub fn extract_all_with(&self, pairs: &[Pair], par: &alem_par::Parallelism) -> Vec<f64> {
-        par.map_chunks(pairs, |chunk| {
-            let mut scratch = Scratch::default();
-            let mut flat = Vec::with_capacity(chunk.len() * self.dim());
-            for &p in chunk {
-                self.score_dims(p, 0..self.dim(), &mut scratch, |_, v| flat.push(v));
-            }
-            flat
-        })
-    }
-
-    /// Compute the continuous feature dimensions `dims` of one pair on
-    /// demand, emitting `(dim, value)` through `sink` in `dims` order.
-    /// Runs of dims sharing an attribute (the common case — dims are
-    /// attr-major) share one value-pair lookup and scratch space, as in
-    /// [`FeatureExtractor::extract_pair`], and every value is
-    /// bit-identical to that dim of the full row.
-    ///
-    /// This is the lazy feature store's fill path: the sorted missing
-    /// cells of a partial read, and those of a row being materialized,
-    /// land here.
-    pub fn compute_dims_with(&self, pair: Pair, dims: &[usize], sink: impl FnMut(usize, f64)) {
-        self.score_dims(pair, dims.iter().copied(), &mut Scratch::default(), sink);
     }
 
     /// Number of Boolean rule-predicate dimensions
@@ -277,18 +164,31 @@ impl FeatureExtractor {
     /// Derive the Boolean predicate vector from a continuous feature row
     /// (the 3 rule functions are among the 21 continuous ones, so no
     /// similarity needs recomputing). Atoms hold as `1.0`, else `0.0`.
-    pub fn booleanize(&self, continuous: &[f64]) -> Vec<f64> {
-        assert_eq!(continuous.len(), self.dim(), "row dimensionality mismatch");
-        let n_sims = SimilarityFunction::ALL.len();
+    ///
+    /// Fails with [`AlemError::InvalidConfig`] unless the row has
+    /// [`FeatureSpace::dim`] values.
+    pub fn booleanize(&self, continuous: &[f64]) -> Result<Vec<f64>, AlemError> {
+        if continuous.len() != self.dim() {
+            return Err(AlemError::InvalidConfig(format!(
+                "a row of {} values is not a {}-dim feature row",
+                continuous.len(),
+                self.dim()
+            )));
+        }
+        Ok(self.atoms(continuous))
+    }
+
+    /// [`FeatureSpace::booleanize`] of a row known to be `dim` wide, such
+    /// as a row of the corpus's own store.
+    pub(crate) fn atoms(&self, continuous: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.bool_dim());
-        for a in 0..self.attr_names.len() {
-            for sim in SimilarityFunction::RULE_SUBSET {
-                let sim_idx = SimilarityFunction::ALL
+        for sims in continuous.chunks_exact(N_SIMS) {
+            for rule in SimilarityFunction::RULE_SUBSET {
+                let v = SimilarityFunction::ALL
                     .iter()
-                    .position(|&s| s == sim)
-                    // alem-lint: allow(no-panic) -- RULE_SUBSET is a compile-time subset of ALL, covered by unit tests
-                    .expect("rule subset is part of ALL");
-                let v = continuous[a * n_sims + sim_idx];
+                    .zip(sims)
+                    .find_map(|(&sim, &v)| (sim == rule).then_some(v))
+                    .unwrap_or(0.0);
                 for &threshold in &RULE_THRESHOLDS {
                     out.push(f64::from(u8::from(v >= threshold - 1e-12)));
                 }
@@ -296,6 +196,224 @@ impl FeatureExtractor {
         }
         out
     }
+}
+
+/// Pre-tokenized feature extractor over a dataset's two tables, for all
+/// of the schema's attributes ([`FeatureExtractor::new`]) or for one
+/// ([`FeatureExtractor::attribute`]).
+///
+/// Cells that hold the same raw string share one [`Prepared`] value:
+/// `Prepared::new` is a pure function of the raw string, so interning is
+/// exact, and most cells of a real table repeat a value.
+pub struct FeatureExtractor {
+    space: FeatureSpace,
+    /// One prepared view per distinct raw value of the extractor's
+    /// attributes in either table.
+    values: Box<[Prepared]>,
+    /// `values` index of each cell, `[record * #attrs + attr]`.
+    left: Box<[u32]>,
+    right: Box<[u32]>,
+}
+
+impl fmt::Debug for FeatureExtractor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let n_attrs = self.space.attr_names.len().max(1);
+        f.debug_struct("FeatureExtractor")
+            .field("attrs", &self.space.attr_names)
+            .field("left_records", &(self.left.len() / n_attrs))
+            .field("right_records", &(self.right.len() / n_attrs))
+            .field("distinct_values", &self.values.len())
+            .field("retained_bytes", &self.retained_bytes())
+            .finish()
+    }
+}
+
+/// The `values` index of every cell of `table` in the columns `attrs`,
+/// interning each distinct raw value (a missing value is the empty
+/// string) on first sight.
+fn intern_table<'t>(
+    table: &'t Table,
+    attrs: Range<usize>,
+    ids: &mut BTreeMap<&'t str, u32>,
+    values: &mut Vec<Prepared>,
+) -> Box<[u32]> {
+    let mut cells = Vec::with_capacity(table.len() * attrs.len());
+    for record in table.records() {
+        for a in attrs.clone() {
+            let raw = record.value(a).unwrap_or("");
+            let id = *ids.entry(raw).or_insert_with(|| {
+                values.push(Prepared::new(raw));
+                (values.len() - 1) as u32
+            });
+            cells.push(id);
+        }
+    }
+    cells.into_boxed_slice()
+}
+
+impl FeatureExtractor {
+    /// Tokenize every distinct attribute value of both tables.
+    ///
+    /// Fails with [`AlemError::InvalidConfig`] when the two tables'
+    /// schemas differ, since features pair attributes by position.
+    pub fn new(ds: &EmDataset) -> Result<Self, AlemError> {
+        let space = FeatureSpace::new(ds)?;
+        let attrs = 0..space.attr_names.len();
+        Ok(FeatureExtractor::over(ds, space, attrs))
+    }
+
+    /// The extractor of attribute `attr` alone: it tokenizes that
+    /// attribute's distinct values in both tables, and its 21 dims are
+    /// that attribute's dims of the full row, bit for bit.
+    ///
+    /// Fails with [`AlemError::InvalidConfig`] when the two tables'
+    /// schemas differ or the schema has no attribute `attr`.
+    pub fn attribute(ds: &EmDataset, attr: usize) -> Result<Self, AlemError> {
+        let all = FeatureSpace::new(ds)?;
+        let Some(name) = all.attr_names.get(attr) else {
+            return Err(AlemError::InvalidConfig(format!(
+                "attribute {attr} is past the schema's {}",
+                all.attr_names.len()
+            )));
+        };
+        let space = FeatureSpace {
+            attr_names: Box::new([name.clone()]),
+        };
+        Ok(FeatureExtractor::over(ds, space, attr..attr + 1))
+    }
+
+    /// Intern the columns `attrs` of both tables; `space` names them.
+    fn over(ds: &EmDataset, space: FeatureSpace, attrs: Range<usize>) -> Self {
+        let mut ids = BTreeMap::new();
+        let mut values = Vec::new();
+        let left = intern_table(&ds.left, attrs.clone(), &mut ids, &mut values);
+        let right = intern_table(&ds.right, attrs, &mut ids, &mut values);
+        FeatureExtractor {
+            space,
+            values: values.into_boxed_slice(),
+            left,
+            right,
+        }
+    }
+
+    /// The feature space of the extractor's attributes.
+    pub fn space(&self) -> &FeatureSpace {
+        &self.space
+    }
+
+    /// Bytes the extractor holds: its own struct, the attribute names,
+    /// every prepared value with its views, and the two cell indexes.
+    /// Every part is an exact-size slice or string, so the count is
+    /// exact and does not depend on the allocator.
+    fn retained_bytes(&self) -> usize {
+        let names: usize = self
+            .space
+            .attr_names
+            .iter()
+            .map(|a| size_of_val(a) + a.len())
+            .sum();
+        let values: usize = self
+            .values
+            .iter()
+            .map(|v| size_of_val(v) + v.heap_bytes())
+            .sum();
+        size_of::<Self>() + names + values + size_of_val(&*self.left) + size_of_val(&*self.right)
+    }
+
+    /// Score `dims` of `pair` in the order given, sending each
+    /// `(dim, value)` to `sink`. Every run of dims on one attribute shares
+    /// one [`textsim::PairScorer`]. All feature values come from here.
+    fn score_dims(
+        &self,
+        pair: Pair,
+        dims: impl IntoIterator<Item = usize>,
+        scratch: &mut Scratch,
+        mut sink: impl FnMut(usize, f64),
+    ) {
+        let n_attrs = self.space.attr_names.len();
+        let l = &self.left[pair.0 as usize * n_attrs..][..n_attrs];
+        let r = &self.right[pair.1 as usize * n_attrs..][..n_attrs];
+        let mut dims = dims.into_iter().peekable();
+        while let Some(&first) = dims.peek() {
+            let attr = first / N_SIMS;
+            let (a, b) = (l[attr] as usize, r[attr] as usize);
+            let mut scorer = scratch.pair(&self.values[a], &self.values[b]);
+            while let Some(d) = dims.next_if(|&d| d / N_SIMS == attr) {
+                sink(d, scorer.score(SimilarityFunction::ALL[d % N_SIMS]));
+            }
+        }
+    }
+
+    /// Continuous feature vector for one candidate pair.
+    pub fn extract_pair(&self, pair: Pair) -> Vec<f64> {
+        let dim = self.space.dim();
+        let mut row = Vec::with_capacity(dim);
+        self.score_dims(pair, 0..dim, &mut Scratch::default(), |_, v| row.push(v));
+        row
+    }
+
+    /// Compute the continuous feature dimensions `dims` of one pair on
+    /// demand, emitting `(dim, value)` through `sink` in `dims` order.
+    /// Runs of dims sharing an attribute (the common case — dims are
+    /// attr-major) share one value-pair lookup and scratch space, as in
+    /// [`FeatureExtractor::extract_pair`], and every value is
+    /// bit-identical to that dim of the full row.
+    ///
+    /// This is the lazy feature store's fill path: the sorted missing
+    /// cells of a partial read, and those of a row being materialized,
+    /// land here.
+    pub fn compute_dims_with(&self, pair: Pair, dims: &[usize], sink: impl FnMut(usize, f64)) {
+        self.score_dims(pair, dims.iter().copied(), &mut Scratch::default(), sink);
+    }
+}
+
+/// The continuous feature matrix of `pairs` over `ds`, row-major: row
+/// `i`, the features of `pairs[i]`, is `[i * dim..(i + 1) * dim]`. This
+/// is the eager store's one buffer, scored in place one attribute at a
+/// time: the extractor of attribute `a` prepares that attribute's
+/// distinct values only, scores its 21 columns of every row, and is
+/// dropped before the next attribute, so the build holds at most the
+/// buffer plus the largest attribute's views. The rows split into
+/// disjoint blocks that run on `par`; every cell is a pure function of
+/// its pair and attribute, so the matrix is the same for any thread
+/// count and any blocking.
+pub(crate) fn extract_rows(
+    ds: &EmDataset,
+    pairs: &[Pair],
+    par: &Parallelism,
+) -> Result<Vec<f64>, AlemError> {
+    let space = FeatureSpace::new(ds)?;
+    let (n_attrs, dim) = (space.attr_names.len(), space.dim());
+    let mut flat = vec![0.0; pairs.len() * dim];
+    let block_rows = pairs
+        .len()
+        .div_ceil(par.threads() * BLOCKS_PER_THREAD)
+        .max(1);
+    for attr in 0..n_attrs {
+        let fx = FeatureExtractor::attribute(ds, attr)?;
+        let jobs: Vec<_> = flat
+            .chunks_mut(block_rows * dim)
+            .zip(pairs.chunks(block_rows))
+            .map(|(rows, pairs)| {
+                let fx = &fx;
+                move || {
+                    let mut scratch = Scratch::default();
+                    // This attribute's 21 cells of each row.
+                    let cells = rows.chunks_exact_mut(N_SIMS).skip(attr).step_by(n_attrs);
+                    for (cells, &pair) in cells.zip(pairs) {
+                        let mut out = cells.iter_mut();
+                        fx.score_dims(pair, 0..N_SIMS, &mut scratch, |_, v| {
+                            if let Some(cell) = out.next() {
+                                *cell = v;
+                            }
+                        });
+                    }
+                }
+            })
+            .collect();
+        par.run(jobs);
+    }
+    Ok(flat)
 }
 
 #[cfg(test)]
@@ -367,11 +485,11 @@ mod tests {
 
     #[test]
     fn dims_are_21_per_attr() {
-        let fx = FeatureExtractor::new(&toy()).unwrap();
-        assert_eq!(fx.dim(), 42);
-        assert_eq!(fx.descriptions().len(), 42);
-        assert_eq!(fx.bool_dim(), 60);
-        assert_eq!(fx.bool_descriptions().len(), 60);
+        let space = FeatureSpace::new(&toy()).unwrap();
+        assert_eq!(space.dim(), 42);
+        assert_eq!(space.descriptions().len(), 42);
+        assert_eq!(space.bool_dim(), 60);
+        assert_eq!(space.bool_descriptions().len(), 60);
     }
 
     #[test]
@@ -412,11 +530,11 @@ mod tests {
     fn booleanize_thresholds() {
         let fx = FeatureExtractor::new(&toy()).unwrap();
         let row = fx.extract_pair((0, 0));
-        let b = fx.booleanize(&row);
+        let b = fx.space().booleanize(&row).unwrap();
         assert_eq!(b.len(), 60);
         assert!(b.iter().all(|&v| v == 0.0 || v == 1.0));
         // Price is exactly equal → Identity atoms hold at every threshold.
-        let descs = fx.bool_descriptions();
+        let descs = fx.space().bool_descriptions();
         for (v, d) in b.iter().zip(&descs) {
             if d.attr == "price" && d.sim == SimilarityFunction::Identity {
                 assert_eq!(*v, 1.0, "{d}");
@@ -425,11 +543,51 @@ mod tests {
     }
 
     #[test]
+    fn booleanize_rejects_a_row_of_another_width() {
+        let space = FeatureSpace::new(&toy()).unwrap();
+        for width in [41, 43, 0] {
+            match space.booleanize(&vec![0.5; width]) {
+                Err(AlemError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(&format!("{width} values")), "{msg}")
+                }
+                other => panic!("width {width}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn one_attribute_extractor_scores_its_slice_of_the_row() {
+        let ds = toy();
+        let fx = FeatureExtractor::new(&ds).unwrap();
+        for attr in 0..2 {
+            let one = FeatureExtractor::attribute(&ds, attr).unwrap();
+            assert_eq!(one.space().dim(), 21);
+            assert_eq!(
+                one.space().descriptions(),
+                fx.space().descriptions()[attr * 21..][..21]
+            );
+            for pair in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let full = fx.extract_pair(pair);
+                let got = one.extract_pair(pair);
+                let same = got
+                    .iter()
+                    .zip(&full[attr * 21..])
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "attribute {attr} of {pair:?}");
+            }
+        }
+        assert!(matches!(
+            FeatureExtractor::attribute(&ds, 2),
+            Err(AlemError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
     fn bool_monotone_in_threshold() {
         // If an atom holds at τ it must hold at every smaller τ.
         let fx = FeatureExtractor::new(&toy()).unwrap();
-        let b = fx.booleanize(&fx.extract_pair((0, 0)));
-        let descs = fx.bool_descriptions();
+        let b = fx.space().booleanize(&fx.extract_pair((0, 0))).unwrap();
+        let descs = fx.space().bool_descriptions();
         for w in 0..b.len() - 1 {
             let (d1, d2) = (&descs[w], &descs[w + 1]);
             if d1.attr == d2.attr && d1.sim == d2.sim {
@@ -440,16 +598,16 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        let fx = FeatureExtractor::new(&toy()).unwrap();
-        let d = &fx.descriptions()[0];
+        let space = FeatureSpace::new(&toy()).unwrap();
+        let d = &space.descriptions()[0];
         assert_eq!(d.to_string(), "LevenshteinSim(left.name, right.name)");
-        let bd = fx
+        let bd = space
             .bool_descriptions()
             .into_iter()
             .find(|d| d.sim == SimilarityFunction::Jaccard && d.attr == "name")
             .unwrap();
         assert_eq!(bd.to_string(), "JaccardSim(left.name, right.name) >= 0.1");
-        let eq = fx
+        let eq = space
             .bool_descriptions()
             .into_iter()
             .find(|d| d.sim == SimilarityFunction::Identity && d.attr == "price")

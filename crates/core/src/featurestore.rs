@@ -106,7 +106,7 @@ impl FeatureStore {
     /// materialized row is memoized for the store's lifetime.
     pub fn lazy(fx: Arc<FeatureExtractor>, pairs: Arc<Vec<Pair>>) -> Self {
         let len = pairs.len();
-        let dim = fx.dim();
+        let dim = fx.space().dim();
         let rows = (0..len).map(|_| OnceLock::new()).collect();
         let partials = (0..len).map(|_| OnceLock::new()).collect();
         FeatureStore {
@@ -439,12 +439,8 @@ mod tests {
     #[test]
     fn lazy_rows_match_eager_bit_for_bit() {
         let (fx, pairs) = toy_fx();
-        let eager = FeatureStore::from_flat(
-            fx.extract_all_with(&pairs, &alem_par::Parallelism::sequential()),
-            pairs.len(),
-            fx.dim(),
-        )
-        .unwrap();
+        let flat = pairs.iter().flat_map(|&p| fx.extract_pair(p)).collect();
+        let eager = FeatureStore::from_flat(flat, pairs.len(), fx.space().dim()).unwrap();
         let lazy = FeatureStore::lazy(Arc::clone(&fx), Arc::clone(&pairs));
         assert_eq!(lazy.len(), eager.len());
         assert_eq!(lazy.dim(), eager.dim());

@@ -45,7 +45,25 @@ use std::path::{Path, PathBuf};
 /// fails with [`AlemError::CheckpointCorrupt`]. Version 2 added
 /// `corpus_fingerprint` so a resume against a different corpus of the
 /// same length is rejected instead of silently producing garbage.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version 3 seals the checkpoint's JSON with a checksum of it (see
+/// [`Checkpoint::encode`]), so a corrupted file that still parses is
+/// rejected too.
+pub const CHECKPOINT_VERSION: u32 = 3;
+
+/// FNV-1a 64 of `bytes`: the checkpoint checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A checkpoint as [`Checkpoint::decode`] reads it: the checkpoint and
+/// the checksum [`Checkpoint::encode`] sealed it with.
+#[derive(Deserialize)]
+struct Sealed {
+    checksum: String,
+    checkpoint: Checkpoint,
+}
 
 /// Derive the RNG for a session slot (0 = setup, k+1 = iteration k).
 fn derive_rng(master_seed: u64, slot: u64) -> StdRng {
@@ -136,13 +154,51 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// The checkpoint's serialized form: `{"checksum":"…","checkpoint":…}`,
+    /// where `checkpoint` is the checkpoint's JSON and `checksum` the
+    /// FNV-1a 64 of exactly that JSON text, as 16 hex digits.
+    pub fn encode(&self) -> Result<String, AlemError> {
+        let json = serde_json::to_string(self)
+            .map_err(|e| AlemError::Io(format!("serializing checkpoint: {e}")))?;
+        let checksum = fnv1a(json.as_bytes());
+        Ok(format!(
+            "{{\"checksum\":\"{checksum:016x}\",\"checkpoint\":{json}}}"
+        ))
+    }
+
+    /// Read what [`Checkpoint::encode`] wrote. Fails with
+    /// [`AlemError::CheckpointCorrupt`] when the text does not parse, its
+    /// version is not [`CHECKPOINT_VERSION`], or its checksum is not that
+    /// of the checkpoint it holds. The checksum is taken again over the
+    /// parsed checkpoint's own JSON, so a changed byte passes only if it
+    /// leaves every value as it was.
+    pub fn decode(text: &str) -> Result<Self, AlemError> {
+        let sealed: Sealed =
+            serde_json::from_str(text).map_err(|e| AlemError::CheckpointCorrupt(e.to_string()))?;
+        let ckpt = sealed.checkpoint;
+        if ckpt.version != CHECKPOINT_VERSION {
+            return Err(AlemError::CheckpointCorrupt(format!(
+                "version {} (this build reads {CHECKPOINT_VERSION})",
+                ckpt.version
+            )));
+        }
+        let json = serde_json::to_string(&ckpt)
+            .map_err(|e| AlemError::CheckpointCorrupt(e.to_string()))?;
+        let checksum = format!("{:016x}", fnv1a(json.as_bytes()));
+        if sealed.checksum != checksum {
+            return Err(AlemError::CheckpointCorrupt(format!(
+                "checksum {:?} does not match the content's {checksum}",
+                sealed.checksum
+            )));
+        }
+        Ok(ckpt)
+    }
+
     /// Atomically write the checkpoint to `path` (temp file + rename, so a
     /// kill mid-write never leaves a truncated checkpoint behind).
     pub fn save(&self, path: &Path) -> Result<(), AlemError> {
-        let json = serde_json::to_string(self)
-            .map_err(|e| AlemError::Io(format!("serializing checkpoint: {e}")))?;
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json)?;
+        std::fs::write(&tmp, self.encode()?)?;
         std::fs::rename(&tmp, path)?;
         Ok(())
     }
@@ -159,15 +215,12 @@ impl Checkpoint {
             std::fs::remove_file(&tmp).ok();
         }
         let text = std::fs::read_to_string(path)?;
-        let ckpt: Checkpoint = serde_json::from_str(&text)
-            .map_err(|e| AlemError::CheckpointCorrupt(format!("{}: {e}", path.display())))?;
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(AlemError::CheckpointCorrupt(format!(
-                "version {} (this build reads {CHECKPOINT_VERSION})",
-                ckpt.version
-            )));
-        }
-        Ok(ckpt)
+        Checkpoint::decode(&text).map_err(|e| match e {
+            AlemError::CheckpointCorrupt(msg) => {
+                AlemError::CheckpointCorrupt(format!("{}: {msg}", path.display()))
+            }
+            other => other,
+        })
     }
 }
 
@@ -392,6 +445,41 @@ mod tests {
             Err(AlemError::CheckpointCorrupt(_))
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn checkpoint_checksum_catches_a_changed_value() {
+        let c = corpus(40);
+        let mut machine = SessionMachine::new(
+            MarginSvmStrategy::new(SvmTrainer::default()),
+            params(),
+            SessionConfig::default(),
+        );
+        machine.start(&c, 5).unwrap();
+        answer_until(&mut machine, &c, Some(1)).unwrap();
+        let ckpt = machine.checkpoint().expect("boundary reached");
+        let text = ckpt.encode().unwrap();
+        assert_eq!(Checkpoint::decode(&text).unwrap(), ckpt);
+        // Another master seed, still valid JSON of a valid checkpoint.
+        let seed = format!("\"master_seed\":{}", ckpt.master_seed);
+        let reseeded = text.replacen(&seed, "\"master_seed\":6", 1);
+        assert_ne!(reseeded, text);
+        // A checksum of another checkpoint.
+        let other = Checkpoint {
+            master_seed: 6,
+            ..ckpt.clone()
+        };
+        let resealed = format!("{}{}", &other.encode().unwrap()[..32], &text[32..]);
+        assert_ne!(resealed, text);
+        for bad in [reseeded, resealed, serde_json::to_string(&ckpt).unwrap()] {
+            assert!(
+                matches!(
+                    Checkpoint::decode(&bad),
+                    Err(AlemError::CheckpointCorrupt(_))
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]
@@ -924,11 +1012,12 @@ mod tests {
         MarginSvmStrategy::builder().warm_start().build()
     }
 
-    /// A corpus and the JSON of a warm margin session's checkpoint on it,
-    /// taken at the third iteration boundary, so its bytes hold a
-    /// `WarmState`.
-    fn warm_checkpoint() -> &'static (Corpus, String) {
-        static TARGET: std::sync::OnceLock<(Corpus, String)> = std::sync::OnceLock::new();
+    /// A corpus, the encoded checkpoint of a warm margin session on it,
+    /// taken at the third iteration boundary so its bytes hold a
+    /// `WarmState`, and the fingerprint of that session run to the end
+    /// without a break.
+    fn warm_checkpoint() -> &'static (Corpus, String, String) {
+        static TARGET: std::sync::OnceLock<(Corpus, String, String)> = std::sync::OnceLock::new();
         TARGET.get_or_init(|| {
             let c = corpus(120);
             let mut machine =
@@ -937,39 +1026,46 @@ mod tests {
             answer_until(&mut machine, &c, Some(3)).unwrap();
             let ckpt = machine.checkpoint().expect("boundary reached");
             assert!(ckpt.warm.is_some(), "a warm session checkpoints its state");
-            let json = serde_json::to_string(&ckpt).unwrap();
-            (c, json)
+            let text = ckpt.encode().unwrap();
+            answer_until(&mut machine, &c, None).unwrap();
+            let fingerprint = machine.take_result().unwrap().deterministic_fingerprint();
+            (c, text, fingerprint)
         })
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
         /// One byte of a valid checkpoint replaced, or the checkpoint cut
-        /// short: the bytes fail to parse, or resuming on them gives `Ok`
+        /// short: the bytes fail to decode, or resuming on them gives `Ok`
         /// or a structured error, and so does every answer after it. It
-        /// never panics.
+        /// never panics, and a session that resumes and finishes finishes
+        /// as the session that was never broken off.
         #[test]
         fn mutated_checkpoints_resume_or_fail_without_panicking(
             at in 0..1_000_000usize,
             byte in 0..=255u8,
             cut in 0..8u8,
         ) {
-            let (c, json) = warm_checkpoint();
-            let mut bytes = json.clone().into_bytes();
+            let (c, text, uninterrupted) = warm_checkpoint();
+            let mut bytes = text.clone().into_bytes();
             let at = at % bytes.len();
             if cut == 0 {
                 bytes.truncate(at);
             } else {
                 bytes[at] = byte;
             }
-            let parsed = std::str::from_utf8(&bytes)
+            let decoded = std::str::from_utf8(&bytes)
                 .ok()
-                .and_then(|text| serde_json::from_str::<Checkpoint>(text).ok());
-            if let Some(ckpt) = parsed {
+                .and_then(|text| Checkpoint::decode(text).ok());
+            if let Some(ckpt) = decoded {
                 let mut machine =
                     SessionMachine::new(warm_margin(), params(), SessionConfig::default());
-                if machine.resume(c, ckpt).is_ok() {
-                    let _ = answer_until(&mut machine, c, None);
+                if machine.resume(c, ckpt).is_ok()
+                    && answer_until(&mut machine, c, None).is_ok()
+                    && machine.state() == MachineState::Done
+                {
+                    let run = machine.take_result().unwrap();
+                    proptest::prop_assert_eq!(&run.deterministic_fingerprint(), uninterrupted);
                 }
             }
         }

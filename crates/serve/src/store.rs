@@ -138,8 +138,7 @@ impl Store {
         let n = self.ckpt_writes.fetch_add(1, Ordering::SeqCst) + 1;
         let path = self.checkpoint_path(name);
         if self.chaos_die_at == Some(n) {
-            let json = serde_json::to_string(ckpt)
-                .map_err(|e| AlemError::Io(format!("serializing checkpoint: {e}")))?;
+            let json = ckpt.encode()?;
             let half = &json[..json.len() / 2];
             std::fs::write(path.with_extension("tmp"), half)?;
             eprintln!("alem-serve: chaos_die_at_checkpoint={n} firing: aborting mid-write");

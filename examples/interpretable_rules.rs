@@ -27,7 +27,7 @@ fn main() {
     };
     let dataset = generate_social(&cfg, 7);
     let blocking = TokenIndex::builder().threshold(0.2).build();
-    let (corpus, extractor) = Corpus::from_candidates(&dataset, &blocking)
+    let (corpus, space) = Corpus::from_candidates(&dataset, &blocking)
         .expect("the token index streams valid candidates");
     println!(
         "{} employees x {} profiles -> {} candidate pairs (skew {:.3})\n",
@@ -65,6 +65,6 @@ fn main() {
     );
     println!(
         "learned matching rules:\n{}",
-        dnf_to_string(&dnf, &extractor.bool_descriptions())
+        dnf_to_string(&dnf, &space.bool_descriptions())
     );
 }

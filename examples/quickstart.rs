@@ -28,7 +28,7 @@ fn main() {
     let blocking = TokenIndex::builder()
         .threshold(gen_cfg.blocking_threshold)
         .build();
-    let (corpus, _extractor) = Corpus::from_candidates(&dataset, &blocking)
+    let (corpus, _space) = Corpus::from_candidates(&dataset, &blocking)
         .expect("the token index streams valid candidates");
     println!(
         "post-blocking pairs: {} (skew {:.3}, {} feature dims)",

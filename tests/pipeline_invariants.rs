@@ -101,7 +101,7 @@ proptest! {
         let row = fx.extract_pair((0, 0));
         prop_assert_eq!(row.len(), 21 * n_attrs);
         prop_assert!(row.iter().all(|v| (0.0..=1.0).contains(v)));
-        let brow = fx.booleanize(&row);
+        let brow = fx.space().booleanize(&row).expect("a full row");
         prop_assert_eq!(brow.len(), 30 * n_attrs);
         // Monotone within each (attr, sim) block of 10 thresholds.
         for block in brow.chunks(10) {
